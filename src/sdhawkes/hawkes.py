@@ -1,8 +1,10 @@
-"""Temporal point-process machinery.
+"""The exponential triggering kernel and its restricted fit.
 
 Patterns excite themselves through an exponential triggering kernel
 alpha * exp(-dt/tau); the stream intensity is the base rate lambda0 plus the
-sum of pattern intensities. All per-pattern quantities here are O(1) in the
+sum of pattern intensities. The intensity and compensator terms the particle
+filter needs are evaluated inside ``smc.score_candidates``; this module holds
+the kernel type and the per-pattern kernel fit, which is O(1) in the
 pattern's event count thanks to the decay caches maintained by PatternStats.
 """
 
@@ -10,20 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import lgamma
+from math import exp, log
 
-from .types import Hyperparams, Particle, PatternStats
+from .types import Hyperparams, PatternStats
 
-__all__ = [
-    "TimeKernel",
-    "kernel_eval",
-    "pattern_intensity",
-    "total_intensity",
-    "assignment_prior",
-    "compensator",
-    "alpha_map",
-    "fit_time_kernel",
-]
+__all__ = ["ALPHA_FLOOR", "TimeKernel", "fit_kernel"]
 
 ALPHA_FLOOR = 1e-8
 
@@ -42,115 +35,38 @@ class TimeKernel:
             raise ValueError("tau must be > 0")
 
 
-def kernel_eval(kernel: TimeKernel, dt: float) -> float:
-    """alpha * exp(-dt/tau) for dt >= 0."""
-    if dt < 0:
-        raise ValueError(f"kernel evaluated at negative elapsed time {dt}")
-    return kernel.alpha * math.exp(-dt / kernel.tau)
+def fit_kernel(stats: PatternStats, t_now: float,
+               hyper: Hyperparams) -> tuple[float, float, int]:
+    """Restricted MAP of (alpha, tau) given the pattern's events through t_now.
 
-
-def pattern_intensity(stats: PatternStats, t: float) -> float:
-    """Pattern intensity alpha * sum_i exp(-(t - t_i)/tau) at time t.
-
-    Uses the pattern's currently fitted kernel and its decay cache; O(1).
-    """
-    if stats.n_posts == 0:
-        return 0.0
-    if t < stats.t_ref:
-        raise ValueError(f"intensity queried at t={t} before last event {stats.t_ref}")
-    return stats.alpha * stats.decay_at(t, stats.tau_idx, stats.tau)
-
-
-def total_intensity(particle: Particle, hyper: Hyperparams, t: float) -> float:
-    """lambda(t) = lambda0 + sum of pattern intensities; always >= lambda0."""
-    out = hyper.lambda0
-    for stats in particle.patterns.values():
-        out += pattern_intensity(stats, t)
-    return out
-
-
-def assignment_prior(particle: Particle, hyper: Hyperparams,
-                     t: float) -> tuple[list[int], list[float]]:
-    """Temporal prior over the next post's pattern.
-
-    Returns (labels, probs) where probs has one entry per existing pattern
-    followed by one for "new"; entry k is lambda_k(t)/lambda(t) and the new
-    entry is lambda0/lambda(t).
-    """
-    labels = list(particle.patterns.keys())
-    lams = [pattern_intensity(particle.patterns[k], t) for k in labels]
-    total = hyper.lambda0 + sum(lams)
-    probs = [lam / total for lam in lams]
-    probs.append(hyper.lambda0 / total)
-    return labels, probs
-
-
-def compensator(stats: PatternStats, t0: float, t1: float) -> float:
-    """Integrated pattern intensity over [t0, t1], both past the last event.
-
-    Closed form per event: alpha*tau*(exp(-(t0-t_i)/tau) - exp(-(t1-t_i)/tau)),
-    summed via the decay cache.
-    """
-    if t1 < t0:
-        raise ValueError("t1 must be >= t0")
-    if stats.n_posts == 0:
-        return 0.0
-    if t0 < stats.t_ref:
-        raise ValueError(f"interval start {t0} precedes last event {stats.t_ref}")
-    s0 = stats.decay_at(t0, stats.tau_idx, stats.tau)
-    return stats.alpha * stats.tau * s0 * -math.expm1(-(t1 - t0) / stats.tau)
-
-
-def alpha_map(stats: PatternStats, tau: float, t_now: float,
-              hyper: Hyperparams, tau_idx: int | None = None) -> tuple[float, float]:
-    """Closed-form MAP of the self-excitation alpha for a fixed tau.
-
-    The objective is log Ga(alpha | alpha_time, beta_time) plus the pattern's
-    event-time log likelihood through t_now, maximized by
+    For each tau on the grid ``hyper.psi_tau`` the objective
+    log Ga(alpha | alpha_time, beta_time) + event-time log likelihood is
+    maximized in closed form by
 
         alpha_hat = (n - 2 + alpha_time) / (beta_time + B)
         B         = tau * sum_i (1 - exp(-(t_now - t_i)/tau))
 
-    Returns (alpha_hat, objective at alpha_hat); the objective carries all
-    tau-dependent terms so values are comparable across the tau grid.
+    (floored at ALPHA_FLOOR when the numerator is not positive), and the tau
+    with the largest objective wins; ties go to the smaller tau. Terms that
+    depend on neither alpha nor tau are left out of the comparison.
+    Returns (alpha, tau, index of tau in psi_tau).
     """
     n = stats.n_posts
     if n < 2:
         raise ValueError("kernel fitting needs at least two posts")
-    if tau_idx is None:
-        tau_idx = hyper.psi_tau.index(tau)
-    if t_now < stats.t_ref:
-        raise ValueError(f"t_now={t_now} precedes last event {stats.t_ref}")
     a = hyper.alpha_time
     b = hyper.beta_time
-    big_b = tau * (n - stats.decay_at(t_now, tau_idx, tau))
     numer = n - 2.0 + a
-    alpha_hat = numer / (b + big_b) if numer > 0 else ALPHA_FLOOR
-    objective = (
-        a * math.log(b) - lgamma(a)
-        + (a - 1.0 + n - 1.0) * math.log(alpha_hat)
-        - (b + big_b) * alpha_hat
-        + stats.log_trigger[tau_idx]
-    )
-    return alpha_hat, objective
-
-
-def fit_time_kernel(stats: PatternStats, t_now: float,
-                    hyper: Hyperparams) -> TimeKernel:
-    """Best (alpha_hat(tau), tau) over the tau grid; ties go to smaller tau."""
-    kernel, _ = fit_time_kernel_indexed(stats, t_now, hyper)
-    return kernel
-
-
-def fit_time_kernel_indexed(stats: PatternStats, t_now: float,
-                            hyper: Hyperparams) -> tuple[TimeKernel, int]:
+    k_log = a - 2.0 + n
+    dt_ref = t_now - stats.t_ref
     best_obj = -math.inf
-    best_alpha = ALPHA_FLOOR
-    best_idx = 0
+    best = (ALPHA_FLOOR, hyper.psi_tau[0], 0)
     for i, tau in enumerate(hyper.psi_tau):
-        alpha_hat, obj = alpha_map(stats, tau, t_now, hyper, tau_idx=i)
+        big_b = tau * (n - stats.decay[i] * exp(-dt_ref / tau))
+        denom = b + big_b
+        alpha_hat = numer / denom if numer > 0 else ALPHA_FLOOR
+        obj = k_log * log(alpha_hat) - denom * alpha_hat + stats.log_trigger[i]
         if obj > best_obj:
             best_obj = obj
-            best_alpha = alpha_hat
-            best_idx = i
-    return TimeKernel(best_alpha, hyper.psi_tau[best_idx]), best_idx
+            best = (alpha_hat, tau, i)
+    return best

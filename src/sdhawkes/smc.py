@@ -7,6 +7,10 @@ proposal and multiplies its weight by p(t_n | history) * Q_n, where Q_n is
 the proposal's pre-normalization sum. Systematic resampling fires whenever
 the effective sample size drops below kappa_thresh * n_particles.
 
+``score_candidates`` is the one place these model terms are evaluated: the
+step, the proposal, the weight update and the one-step-ahead predictive all
+call it.
+
 Particles use copy-on-write state: pattern statistics are shared between
 resampled offspring until one of them mutates, assignment histories are
 shared cons chains, and (optionally) patterns whose possible intensity
@@ -16,13 +20,17 @@ keeps the per-post cost proportional to the number of *live* patterns.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
+from itertools import chain
 from math import exp, lgamma, log, log1p
 
 import numpy as np
 
+from .hawkes import fit_kernel
 from .types import (
     ClusteringResult,
     GeoPost,
@@ -37,12 +45,12 @@ __all__ = [
     "ParticleSystem",
     "ess",
     "systematic_resample",
+    "score_candidates",
     "proposal_distribution",
     "incremental_weight",
 ]
 
-ALPHA_FLOOR = 1e-8
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(slots=True)
@@ -59,7 +67,6 @@ class EngineConfig:
 
     spatial: bool = True
     fixed_kernel: tuple[float, float] | None = None
-    init_kernel: str = "prior_mean"  # or "prior_draw"
     refit_all: bool = True
     prune_threshold: float = 0.0
     seed: int = 0
@@ -78,8 +85,6 @@ class ParticleSystem:
         hyper.validate()
         self.hyper = hyper
         self.config = config or EngineConfig()
-        if self.config.init_kernel not in ("prior_mean", "prior_draw"):
-            raise ValueError(f"unknown init_kernel {self.config.init_kernel!r}")
         if self.config.fixed_kernel is not None:
             alpha0, tau0 = self.config.fixed_kernel
             if alpha0 < 0 or tau0 <= 0:
@@ -100,134 +105,30 @@ class ParticleSystem:
         self.pattern_counts: list[int] = []
 
     # ------------------------------------------------------------------
-    # kernel selection
-
-    def _new_pattern_stats(self, owner: object, rng: np.random.Generator) -> PatternStats:
-        cfg = self.config
-        if cfg.fixed_kernel is not None:
-            alpha0, tau0 = cfg.fixed_kernel
-            return PatternStats(1, alpha0, tau0, 0, owner=owner)
-        hyper = self.hyper
-        if cfg.init_kernel == "prior_draw":
-            alpha0 = float(rng.gamma(hyper.alpha_time, 1.0 / hyper.beta_time))
-            idx = int(rng.integers(0, len(hyper.psi_tau)))
-        else:
-            alpha0 = hyper.alpha_time / hyper.beta_time
-            idx = 0
-        return PatternStats(len(self.cache_taus), alpha0, hyper.psi_tau[idx], idx,
-                            owner=owner)
-
-    def _fit_kernel(self, stats: PatternStats, t_now: float) -> tuple[float, float, int]:
-        """Restricted MLE of (alpha, tau) over the grid, given data to t_now."""
-        hyper = self.hyper
-        a = hyper.alpha_time
-        b = hyper.beta_time
-        n = stats.n_posts
-        numer = n - 2.0 + a
-        k_log = a - 2.0 + n
-        dt_ref = t_now - stats.t_ref
-        best_obj = -math.inf
-        best = (ALPHA_FLOOR, hyper.psi_tau[0], 0)
-        for i, tau in enumerate(hyper.psi_tau):
-            big_b = tau * (n - stats.decay[i] * exp(-dt_ref / tau))
-            denom = b + big_b
-            alpha_hat = numer / denom if numer > 0 else ALPHA_FLOOR
-            obj = k_log * log(alpha_hat) - denom * alpha_hat + stats.log_trigger[i]
-            if obj > best_obj:
-                best_obj = obj
-                best = (alpha_hat, tau, i)
-        return best
-
-    def _current_kernel(self, stats: PatternStats, t_prev: float) -> tuple[float, float, int]:
-        cfg = self.config
-        if cfg.fixed_kernel is not None or stats.n_posts < 2 or not cfg.refit_all:
-            return stats.alpha, stats.tau, stats.tau_idx
-        return self._fit_kernel(stats, t_prev)
-
-    # ------------------------------------------------------------------
     # stepping
-
-    @staticmethod
-    def _doc_terms(words: list[int], hyper: Hyperparams):
-        counts: dict[int, int] = {}
-        for w in words:
-            counts[w] = counts.get(w, 0) + 1
-        items = list(counts.items())
-        c_d = len(words)
-        theta0 = hyper.theta0
-        vt = hyper.vocab_size * theta0
-        log_new = lgamma(vt) - lgamma(c_d + vt)
-        for _v, c in items:
-            log_new += lgamma(c + theta0) - lgamma(theta0)
-        return items, c_d, log_new
 
     def step(self, post: GeoPost, observe_location: bool = True) -> "ParticleSystem":
         """Assimilate one post: propose, weight, refit, maybe resample."""
+        hyper = self.hyper
+        post.validate(hyper.vocab_size, with_location=observe_location)
         t = post.t
         if t < self.t_last:
             raise ValueError(f"out-of-order post: t={t} < {self.t_last}")
-        hyper = self.hyper
         cfg = self.config
         psi = self.cache_taus
-        lam0 = hyper.lambda0
-        theta0 = hyper.theta0
-        vt = hyper.vocab_size * theta0
-        beta = hyper.beta_space
         t_prev = self.t_last
-        dt = t - t_prev
-        rx = post.x
-        ry = post.y
         spatial_obs = cfg.spatial and observe_location
-        doc_items, c_d, log_content_new = self._doc_terms(post.words, hyper)
-        prune_abs = cfg.prune_threshold * lam0
-        two_pi = 2.0 * math.pi
+        prune_abs = cfg.prune_threshold * hyper.lambda0
+        alpha_new, tau_new = cfg.fixed_kernel or (hyper.alpha_time / hyper.beta_time, psi[0])
 
-        for p_idx, particle in enumerate(self.particles):
+        scored = score_candidates(self.particles, post, hyper, cfg, t_prev,
+                                  spatial=spatial_obs, prune_abs=prune_abs)
+        for p_idx, (particle, (labels, scores, _, big_lambda, prune)) in enumerate(
+                zip(self.particles, scored)):
             rng = self.rngs[p_idx]
             patterns = particle.patterns
-            labels = []
-            scores = []
-            kernels = []
-            lam_t = lam0
-            big_lambda = lam0 * dt
-            prune_labels = None
-            for label, stats in patterns.items():
-                alpha, tau, tau_idx = self._current_kernel(stats, t_prev)
-                e_ref = exp(-(t - stats.t_ref) / tau)
-                if prune_abs > 0.0 and alpha * stats.n_posts * e_ref < prune_abs:
-                    if prune_labels is None:
-                        prune_labels = []
-                    prune_labels.append((label, alpha, tau, tau_idx))
-                    continue
-                s_prev = stats.decay[tau_idx] * exp(-(t_prev - stats.t_ref) / tau)
-                e_dt = exp(-dt / tau)
-                lam_k = alpha * s_prev * e_dt
-                lam_t += lam_k
-                big_lambda += alpha * tau * s_prev * (1.0 - e_dt)
-                if lam_k <= 0.0:
-                    ls = -math.inf
-                else:
-                    ls = log(lam_k)
-                    cw = stats.word_counts
-                    get = cw.get
-                    ct = stats.total_words
-                    ls += lgamma(ct + vt) - lgamma(ct + c_d + vt)
-                    for v, c in doc_items:
-                        base = get(v, 0) + theta0
-                        ls += lgamma(base + c) - lgamma(base)
-                    ns = stats.n_spatial
-                    if spatial_obs and ns > 0:
-                        xi = beta + 0.5 * stats.m2
-                        dx = rx - stats.mean_x
-                        dy = ry - stats.mean_y
-                        delta = ns / (2.0 * (ns + 1.0)) * (dx * dx + dy * dy)
-                        ls += (log(ns * ns / (two_pi * (1.0 + ns)))
-                               - log(xi) - (1.0 + ns) * log1p(delta / xi))
-                labels.append(label)
-                scores.append(ls)
-                kernels.append((alpha, tau, tau_idx))
-            if prune_labels is not None:
-                for label, alpha, tau, tau_idx in prune_labels:
+            if prune is not None:
+                for label, alpha, tau, tau_idx in prune:
                     stats = patterns.pop(label)
                     if stats.owner is not particle.token:
                         stats = stats.copy(owner=particle.token)
@@ -236,7 +137,6 @@ class ParticleSystem:
                     stats.tau_idx = tau_idx
                     particle.archive = (label, stats, particle.archive)
 
-            scores.append(log(lam0) + log_content_new)
             m = max(scores)
             exps = [exp(s - m) for s in scores]
             total = sum(exps)
@@ -255,18 +155,15 @@ class ParticleSystem:
             if choice == len(scores) - 1:
                 label = particle.S
                 particle.S += 1
-                stats = self._new_pattern_stats(particle.token, rng)
+                stats = PatternStats(len(psi), alpha_new, tau_new, 0, owner=particle.token)
                 patterns[label] = stats
             else:
                 label = labels[choice]
                 stats = particle.writable(label)
-                alpha, tau, tau_idx = kernels[choice]
-                stats.alpha = alpha
-                stats.tau = tau
-                stats.tau_idx = tau_idx
-            stats.attach(t, post.words, rx, ry, psi, with_location=observe_location)
+            stats.attach(t, post.words, post.x, post.y, psi,
+                         with_location=observe_location)
             if stats.n_posts >= 2 and cfg.fixed_kernel is None:
-                stats.alpha, stats.tau, stats.tau_idx = self._fit_kernel(stats, t)
+                stats.alpha, stats.tau, stats.tau_idx = fit_kernel(stats, t, hyper)
             particle.record_assignment(label)
 
         self.n += 1
@@ -307,59 +204,22 @@ class ParticleSystem:
         particle and mixes particles by weight:
         log sum_p w_p sum_s p(s | history_p, t) * factor(s), where factor is
         the spatial marginal (kind="spatial", new pattern contributing the
-        constant 1) or the content marginal (kind="content").
+        constant 1) or the content marginal (kind="content"). Per particle
+        the inner sum is the proposal's log Q / lambda(t) with only that
+        factor switched on.
         """
         if kind not in ("spatial", "content"):
             raise ValueError(f"unknown predictive kind {kind!r}")
+        spatial = kind == "spatial"
         hyper = self.hyper
-        t = post.t
-        if t < self.t_last:
+        post.validate(hyper.vocab_size, with_location=spatial)
+        if post.t < self.t_last:
             raise ValueError("predictive queried before current time")
-        t_prev = self.t_last
-        theta0 = hyper.theta0
-        vt = hyper.vocab_size * theta0
-        beta = hyper.beta_space
-        doc_items, c_d, log_content_new = self._doc_terms(post.words, hyper)
-        total = 0.0
-        for w_p, particle in zip(self.weights, self.particles):
-            if w_p == 0.0:
-                continue
-            lams = []
-            factors = []
-            lam_t = hyper.lambda0
-            for stats in particle.patterns.values():
-                alpha, tau, tau_idx = self._current_kernel(stats, t_prev)
-                lam_k = alpha * stats.decay[tau_idx] * exp(-(t - stats.t_ref) / tau)
-                lam_t += lam_k
-                if lam_k <= 0.0:
-                    lams.append(0.0)
-                    factors.append(0.0)
-                    continue
-                if kind == "spatial":
-                    ns = stats.n_spatial
-                    if ns == 0:
-                        lf = 0.0
-                    else:
-                        xi = beta + 0.5 * stats.m2
-                        dx = post.x - stats.mean_x
-                        dy = post.y - stats.mean_y
-                        delta = ns / (2.0 * (ns + 1.0)) * (dx * dx + dy * dy)
-                        lf = (log(ns * ns / (2.0 * math.pi * (1.0 + ns)))
-                              - log(xi) - (1.0 + ns) * log1p(delta / xi))
-                else:
-                    ct = stats.total_words
-                    lf = lgamma(ct + vt) - lgamma(ct + c_d + vt)
-                    for v, c in doc_items:
-                        base = stats.word_counts.get(v, 0) + theta0
-                        lf += lgamma(base + c) - lgamma(base)
-                lams.append(lam_k)
-                factors.append(exp(lf))
-            new_factor = 1.0 if kind == "spatial" else exp(log_content_new)
-            mix = hyper.lambda0 * new_factor
-            for lam_k, f in zip(lams, factors):
-                mix += lam_k * f
-            total += w_p * mix / lam_t
-        return log(total)
+        live = [(w_p, p) for w_p, p in zip(self.weights, self.particles) if w_p > 0.0]
+        scored = score_candidates([p for _, p in live], post, hyper, self.config,
+                                  self.t_last, content=not spatial, spatial=spatial)
+        return _logsumexp([log(w_p) + _logsumexp(scores) - log(lam_t)
+                           for (w_p, _), (_, scores, lam_t, _, _) in zip(live, scored)])
 
     # ------------------------------------------------------------------
     # results
@@ -392,7 +252,7 @@ class ParticleSystem:
         for label, stats in patterns.items():
             if (self.config.fixed_kernel is None and self.config.refit_all
                     and stats.n_posts >= 2 and label in particle.patterns):
-                alpha, tau, _ = self._fit_kernel(stats, self.t_last)
+                alpha, tau, _ = fit_kernel(stats, self.t_last, self.hyper)
             else:
                 alpha, tau = stats.alpha, stats.tau
             kernels[label] = (alpha, tau)
@@ -429,8 +289,17 @@ class ParticleSystem:
             "pattern_counts": self.pattern_counts,
             "particles": [self._particle_payload(p) for p in self.particles],
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+        # write a sibling file, then rename over the target, so a crash
+        # mid-write leaves the previous checkpoint intact
+        tmp = f"{os.fspath(path)}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
 
     def _particle_payload(self, particle: Particle) -> dict:
         archive = []
@@ -509,6 +378,116 @@ def systematic_resample(system: ParticleSystem) -> ParticleSystem:
     return system
 
 
+# the "new" candidate: scored as an empty pattern
+_NEW_CANDIDATE = ((None, PatternStats(0, 0.0, 1.0, 0)),)
+
+
+def score_candidates(particles: list[Particle], post: GeoPost, hyper: Hyperparams,
+                     config: EngineConfig, t_prev: float, *, content: bool = True,
+                     spatial: bool = True, prune_abs: float = 0.0) -> list[tuple]:
+    """Score ``post`` against every live pattern and "new", per particle.
+
+    Pattern k scores log lambda_k(t) plus, when switched on, the log
+    Dirichlet-multinomial content marginal of the post's words and the log
+    Student-t spatial predictive of its location; "new" scores log lambda0
+    plus the same factors of an empty pattern (content prior, spatial 1).
+    Kernels are refit to data through ``t_prev`` unless ``config`` fixes
+    them or turns refitting off. A pattern whose largest possible intensity
+    alpha * n * exp(-(t - t_ref)/tau) falls below ``prune_abs`` is not
+    scored and adds nothing to lambda(t) or Lambda.
+
+    Returns, for each particle, (labels, scores, lam_t, big_lambda, prune):
+    the scored labels, their log scores with "new" last, lambda(t), the
+    compensator of lambda over [t_prev, t], and the (label, alpha, tau,
+    tau_idx) of each pattern to prune (None if none). "New" is the same
+    for every particle, so it is scored once, with the first particle.
+    """
+    t = post.t
+    dt = t - t_prev
+    lam0 = hyper.lambda0
+    theta0 = hyper.theta0
+    vt = hyper.vocab_size * theta0
+    beta = hyper.beta_space
+    rx = post.x
+    ry = post.y
+    refit = config.fixed_kernel is None and config.refit_all
+    if content:
+        counts: dict[int, int] = {}
+        for w in post.words:
+            counts[w] = counts.get(w, 0) + 1
+        doc_items = list(counts.items())
+        c_d = len(post.words)
+    two_pi = 2.0 * math.pi
+    new_candidate = _NEW_CANDIDATE
+    e_dt_tau = None  # the tau of e_dt = exp(-dt/tau), shared by most patterns
+    out = []
+    for particle in particles:
+        labels = []
+        scores = []
+        lam_t = lam0
+        big_lambda = lam0 * dt
+        prune = None
+        for label, stats in chain(particle.patterns.items(), new_candidate):
+            if label is None:
+                ls = 0.0
+            else:
+                if refit and stats.n_posts >= 2:
+                    alpha, tau, tau_idx = fit_kernel(stats, t_prev, hyper)
+                else:
+                    alpha = stats.alpha
+                    tau = stats.tau
+                    tau_idx = stats.tau_idx
+                if (prune_abs > 0.0
+                        and alpha * stats.n_posts * exp(-(t - stats.t_ref) / tau) < prune_abs):
+                    if prune is None:
+                        prune = []
+                    prune.append((label, alpha, tau, tau_idx))
+                    continue
+                s_prev = stats.decay[tau_idx] * exp(-(t_prev - stats.t_ref) / tau)
+                if tau != e_dt_tau:
+                    e_dt_tau = tau
+                    e_dt = exp(-dt / tau)
+                lam_k = alpha * s_prev * e_dt
+                lam_t += lam_k
+                big_lambda += alpha * tau * s_prev * (1.0 - e_dt)
+                labels.append(label)
+                if lam_k <= 0.0:
+                    scores.append(-math.inf)
+                    continue
+                ls = log(lam_k)
+            if content:
+                get = stats.word_counts.get
+                ct = stats.total_words
+                ls += lgamma(ct + vt) - lgamma(ct + c_d + vt)
+                for v, c in doc_items:
+                    base = get(v, 0) + theta0
+                    ls += lgamma(base + c) - lgamma(base)
+            ns = stats.n_spatial
+            if spatial and ns > 0:
+                xi = beta + 0.5 * stats.m2
+                dx = rx - stats.mean_x
+                dy = ry - stats.mean_y
+                delta = ns / (2.0 * (ns + 1.0)) * (dx * dx + dy * dy)
+                ls += (log(ns * ns / (two_pi * (1.0 + ns)))
+                       - log(xi) - (1.0 + ns) * log1p(delta / xi))
+            scores.append(ls)
+        if new_candidate:
+            # "new" adds its prior after its factors; another order rounds
+            # the score differently and can change the sampled assignments
+            new_score = scores[-1] + log(lam0)
+            scores[-1] = new_score
+            new_candidate = ()
+        else:
+            scores.append(new_score)
+        out.append((labels, scores, lam_t, big_lambda, prune))
+    return out
+
+
+def _logsumexp(values: list[float]) -> float:
+    m = max(values)
+    return m + log(sum([exp(v - m) for v in values]))
+
+
 def proposal_distribution(particle: Particle, post: GeoPost, hyper: Hyperparams,
                           config: EngineConfig | None = None,
                           system: ParticleSystem | None = None,
@@ -517,53 +496,23 @@ def proposal_distribution(particle: Particle, post: GeoPost, hyper: Hyperparams,
 
     Returns (labels, probs, log_q): probs has one entry per label plus a
     final entry for "new"; log_q is the log of the pre-normalization sum
-    over candidates of prior * content * spatial.
+    over candidates of prior * content * spatial. Kernel options and the
+    previous post time come from ``system`` when given; otherwise from
+    ``config`` and the particle's latest event.
     """
-    if system is None:
-        system = _adhoc_system(hyper, config)
-        system.t_last = max((s.t_ref for s in particle.patterns.values()),
-                            default=0.0)
-    cfg = system.config
-    t = post.t
-    t_prev = system.t_last
-    doc_items, c_d, log_content_new = ParticleSystem._doc_terms(post.words, hyper)
-    theta0 = hyper.theta0
-    vt = hyper.vocab_size * theta0
-    beta = hyper.beta_space
-    spatial_obs = cfg.spatial and observe_location
-    labels = []
-    scores = []
-    lam_t = hyper.lambda0
-    for label, stats in particle.patterns.items():
-        alpha, tau, tau_idx = system._current_kernel(stats, t_prev)
-        lam_k = alpha * stats.decay[tau_idx] * exp(-(t - stats.t_ref) / tau)
-        lam_t += lam_k
-        if lam_k <= 0.0:
-            ls = -math.inf
-        else:
-            ls = log(lam_k)
-            ct = stats.total_words
-            ls += lgamma(ct + vt) - lgamma(ct + c_d + vt)
-            for v, c in doc_items:
-                base = stats.word_counts.get(v, 0) + theta0
-                ls += lgamma(base + c) - lgamma(base)
-            if spatial_obs and stats.n_spatial > 0:
-                ns = stats.n_spatial
-                xi = beta + 0.5 * stats.m2
-                dx = post.x - stats.mean_x
-                dy = post.y - stats.mean_y
-                delta = ns / (2.0 * (ns + 1.0)) * (dx * dx + dy * dy)
-                ls += (log(ns * ns / (2.0 * math.pi * (1.0 + ns)))
-                       - log(xi) - (1.0 + ns) * log1p(delta / xi))
-        labels.append(label)
-        scores.append(ls)
-    scores.append(log(hyper.lambda0) + log_content_new)
+    if system is not None:
+        config = system.config
+        t_prev = system.t_last
+    else:
+        config = config or EngineConfig()
+        t_prev = max((s.t_ref for s in particle.patterns.values()), default=0.0)
+    [(labels, scores, lam_t, _, _)] = score_candidates(
+        [particle], post, hyper, config, t_prev,
+        spatial=config.spatial and observe_location)
     m = max(scores)
     exps = [exp(s - m) for s in scores]
     total = sum(exps)
-    probs = [e / total for e in exps]
-    log_q = m + log(total) - log(lam_t)
-    return labels, probs, log_q
+    return labels, [e / total for e in exps], m + log(total) - log(lam_t)
 
 
 def incremental_weight(particle: Particle, post: GeoPost, log_q: float,
@@ -576,25 +525,10 @@ def incremental_weight(particle: Particle, post: GeoPost, log_q: float,
     [t_prev, t_n]), with the integral lambda0*(t_n - t_prev) plus each
     pattern's compensator increment.
     """
-    if system is None:
-        system = _adhoc_system(hyper, config)
-        system.t_last = t_prev
-    t = post.t
-    lam_t = hyper.lambda0
-    big_lambda = hyper.lambda0 * (t - t_prev)
-    for stats in particle.patterns.values():
-        alpha, tau, tau_idx = system._current_kernel(stats, t_prev)
-        s_prev = stats.decay[tau_idx] * exp(-(t_prev - stats.t_ref) / tau)
-        e_dt = exp(-(t - t_prev) / tau)
-        lam_t += alpha * s_prev * e_dt
-        big_lambda += alpha * tau * s_prev * (1.0 - e_dt)
+    config = system.config if system is not None else (config or EngineConfig())
+    [(_, _, lam_t, big_lambda, _)] = score_candidates(
+        [particle], post, hyper, config, t_prev, content=False, spatial=False)
     return log(lam_t) - big_lambda + log_q
-
-
-def _adhoc_system(hyper: Hyperparams, config: EngineConfig | None) -> ParticleSystem:
-    one = Hyperparams(**{**asdict(hyper), "n_particles": 1,
-                         "psi_tau": hyper.psi_tau})
-    return ParticleSystem(one, config or EngineConfig())
 
 
 # ----------------------------------------------------------------------
@@ -609,8 +543,7 @@ def _set_rng_state(rng: np.random.Generator, state: dict) -> None:
 
 
 _STATS_FIELDS = (
-    "n_posts", "n_spatial", "total_words", "sum_x", "sum_y", "sum_r2",
-    "mean_x", "mean_y", "m2", "t_ref", "alpha", "tau", "tau_idx",
+    "n_posts", "n_spatial", "total_words", "mean_x", "mean_y", "m2", "t_ref", "alpha", "tau", "tau_idx",
 )
 
 

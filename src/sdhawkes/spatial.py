@@ -1,90 +1,19 @@
-"""Collapsed isotropic Gaussian spatial likelihood.
+"""Point estimates of a pattern's location model.
 
 Each pattern's location model is N(R, sigma^2 I) with a flat prior on the
-mean R and sigma^2 ~ Inv-Gamma(1, beta_space) (shape/scale convention, i.e.
-density proportional to sigma^-4 exp(-beta_space/sigma^2)). Both parameters
-integrate out, leaving a heavy-tailed predictive for a new location r given
-a pattern with n located posts:
-
-    p(r | pattern) = n^2 / (2 pi (1+n)) * xi^-1 * (1 + D(r)/xi)^-(1+n)
-
-    xi   = beta_space + 1/2 sum ||r_i||^2 - ||sum r_i||^2 / (2n)
-    D(r) = n / (2(n+1)) * ||r - rbar||^2
-
-For an empty pattern the predictive is the constant 1 (a convention: the
-flat mean prior admits no proper predictive), so a new pattern's spatial
-score does not depend on where the post is.
+mean R and sigma^2 ~ Inv-Gamma(1, beta_space) (shape/scale convention). The
+collapsed predictive of a new location, a bivariate Student-t, is evaluated
+inside ``smc.score_candidates``; this module holds the summaries the
+evaluation protocols read off a fitted pattern.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .types import PatternStats
 
-__all__ = [
-    "SpatialPredictiveInputs",
-    "spatial_log_marginal",
-    "spatial_log_marginal_from_stats",
-    "spatial_point_estimate",
-    "spatial_scale_estimate",
-]
-
-
-@dataclass(slots=True)
-class SpatialPredictiveInputs:
-    """Inputs of the spatial predictive for one (pattern, query) pair.
-
-    ``m2`` (the centered sum of squares, sum ||r_i - rbar||^2) is optional;
-    when provided it is preferred over the raw-sum expression for xi, which
-    cancels catastrophically for metre-scale coordinates far from the origin.
-    """
-
-    n: int
-    sum_r: tuple[float, float]
-    sum_r2: float
-    beta_space: float
-    r: tuple[float, float]
-    m2: float | None = None
-
-    def xi(self) -> float:
-        if self.m2 is not None:
-            return self.beta_space + 0.5 * self.m2
-        sx, sy = self.sum_r
-        return self.beta_space + 0.5 * (self.sum_r2 - (sx * sx + sy * sy) / self.n)
-
-
-def _spatial_ll(n: int, mean_x: float, mean_y: float, xi: float,
-                rx: float, ry: float) -> float:
-    dx = rx - mean_x
-    dy = ry - mean_y
-    delta = n / (2.0 * (n + 1.0)) * (dx * dx + dy * dy)
-    return (
-        math.log(n * n / (2.0 * math.pi * (1.0 + n)))
-        - math.log(xi)
-        - (1.0 + n) * math.log1p(delta / xi)
-    )
-
-
-def spatial_log_marginal(inputs: SpatialPredictiveInputs) -> float:
-    """Log posterior predictive density of ``inputs.r``; log 1 = 0 if n = 0."""
-    rx, ry = inputs.r
-    if not (math.isfinite(rx) and math.isfinite(ry)):
-        raise ValueError("query location must be finite")
-    if inputs.n == 0:
-        return 0.0
-    sx, sy = inputs.sum_r
-    return _spatial_ll(inputs.n, sx / inputs.n, sy / inputs.n, inputs.xi(), rx, ry)
-
-
-def spatial_log_marginal_from_stats(stats: PatternStats, beta_space: float,
-                                    rx: float, ry: float) -> float:
-    """As :func:`spatial_log_marginal`, reading a pattern's running statistics."""
-    n = stats.n_spatial
-    if n == 0:
-        return 0.0
-    return _spatial_ll(n, stats.mean_x, stats.mean_y, stats.xi(beta_space), rx, ry)
+__all__ = ["spatial_point_estimate", "spatial_scale_estimate"]
 
 
 def spatial_point_estimate(stats: PatternStats) -> tuple[float, float]:

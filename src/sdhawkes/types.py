@@ -18,7 +18,6 @@ __all__ = [
     "Particle",
     "PatternSummary",
     "ClusteringResult",
-    "attach_post",
     "pattern_summary",
 ]
 
@@ -33,17 +32,23 @@ class GeoPost:
     y: float
     label_true: int | None = None
 
-    @property
-    def r(self) -> tuple[float, float]:
-        return (self.x, self.y)
+    def validate(self, vocab_size: int, with_location: bool = True) -> None:
+        """Raise ValueError naming the first field out of range.
 
-    def validate(self) -> None:
+        The location is checked only when it is observed (``with_location``);
+        a hidden post may carry any x/y.
+        """
         if not (math.isfinite(self.t) and self.t >= 0.0):
-            raise ValueError(f"post time must be finite and >= 0, got {self.t}")
+            raise ValueError(f"post field t must be finite and >= 0, got {self.t}")
         if not self.words:
-            raise ValueError("post must contain at least one word")
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("post location must have two finite components")
+            raise ValueError("post field words must hold at least one word id")
+        for w in self.words:
+            if not (0 <= w < vocab_size and w == int(w)):
+                raise ValueError(
+                    f"post field words holds id {w}, not an integer in [0, {vocab_size})")
+        if with_location and not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError(
+                f"post fields x, y must be finite, got ({self.x}, {self.y})")
 
 
 @dataclass(slots=True)
@@ -104,10 +109,14 @@ class PatternStats:
     sum_{j>=2} log sum_{k<j} exp(-(t_j - t_k)/tau_i), the tau-dependent part
     of the pattern's event-time log likelihood.
 
-    Spatial state tracks both raw sums (sum_x/sum_y/sum_r2) and the centered
+    Spatial state is the mean (``mean_x``, ``mean_y``) and the centered
     second moment ``m2`` = sum ||r_i - rbar||^2, updated Welford-style so the
     posterior scale never suffers catastrophic cancellation. Only posts with
     an observed location enter the spatial statistics (``n_spatial``).
+
+    ``event_times`` lists the pattern's post times. Only exports and
+    summaries read it, but ``copy`` copies it, so a copy-on-write copy costs
+    O(pattern size).
 
     ``alpha``/``tau`` hold the kernel as of the last refit of this pattern;
     ``owner`` is a copy-on-write token managed by the particle system.
@@ -119,9 +128,6 @@ class PatternStats:
         "n_spatial",
         "word_counts",
         "total_words",
-        "sum_x",
-        "sum_y",
-        "sum_r2",
         "mean_x",
         "mean_y",
         "m2",
@@ -142,9 +148,6 @@ class PatternStats:
         self.n_spatial = 0
         self.word_counts: dict[int, int] = {}
         self.total_words = 0
-        self.sum_x = 0.0
-        self.sum_y = 0.0
-        self.sum_r2 = 0.0
         self.mean_x = 0.0
         self.mean_y = 0.0
         self.m2 = 0.0
@@ -164,9 +167,6 @@ class PatternStats:
         new.n_spatial = self.n_spatial
         new.word_counts = dict(self.word_counts)
         new.total_words = self.total_words
-        new.sum_x = self.sum_x
-        new.sum_y = self.sum_y
-        new.sum_r2 = self.sum_r2
         new.mean_x = self.mean_x
         new.mean_y = self.mean_y
         new.m2 = self.m2
@@ -218,33 +218,11 @@ class PatternStats:
             self.mean_x += dx / n1
             self.mean_y += dy / n1
             self.m2 += dx * (x - self.mean_x) + dy * (y - self.mean_y)
-            self.sum_x += x
-            self.sum_y += y
-            self.sum_r2 += x * x + y * y
             self.n_spatial = n1
-
-    def decay_at(self, t: float, tau_idx: int, tau: float) -> float:
-        """sum_j exp(-(t - t_j)/tau) for t >= t_ref, from the cached value."""
-        return self.decay[tau_idx] * math.exp(-(t - self.t_ref) / tau)
 
     def xi(self, beta_space: float) -> float:
         """Posterior spatial scale: beta_space + half the centered 2-D SS."""
         return beta_space + 0.5 * self.m2
-
-    @property
-    def first_time(self) -> float:
-        return self.event_times[0]
-
-    @property
-    def last_time(self) -> float:
-        return self.t_ref
-
-
-def attach_post(stats: PatternStats, post: GeoPost, psi_tau: tuple[float, ...],
-                with_location: bool = True) -> PatternStats:
-    """Attach ``post`` to ``stats`` in place and return it."""
-    stats.attach(post.t, post.words, post.x, post.y, psi_tau, with_location)
-    return stats
 
 
 class Particle:
@@ -306,9 +284,6 @@ class Particle:
             out[label] = stats
         out.update(self.patterns)
         return dict(sorted(out.items()))
-
-    def pattern_sizes(self) -> dict[int, int]:
-        return {k: v.n_posts for k, v in self.all_patterns().items()}
 
 
 @dataclass(slots=True)

@@ -44,6 +44,20 @@ def intensity_direct(times, t, alpha, tau) -> float:
     return alpha * decay_sum_direct(times, t, tau)
 
 
+def assignment_prior(particle, hyper, t) -> tuple[list[int], list[float]]:
+    """Temporal prior over the next post's pattern, from raw event times.
+
+    Returns (labels, probs): one entry per pattern of ``particle``, with
+    lambda_k(t)/lambda(t) under the pattern's stored kernel, then the
+    "new" entry lambda0/lambda(t).
+    """
+    labels = list(particle.patterns)
+    lams = [intensity_direct(s.event_times, t, s.alpha, s.tau)
+            for s in particle.patterns.values()]
+    total = hyper.lambda0 + sum(lams)
+    return labels, [lam / total for lam in lams] + [hyper.lambda0 / total]
+
+
 def compensator_quadrature(times, t0, t1, alpha, tau) -> float:
     """Integrate the pattern intensity numerically over [t0, t1]."""
     val, _err = quad(lambda u: intensity_direct(times, u, alpha, tau), t0, t1,
@@ -101,6 +115,24 @@ def alpha_argmax_grid(times, tau, t_now, alpha_time, beta_time) -> tuple[float, 
         alpha_time * log(beta_time) - lgamma(alpha_time) + f(best) + lt
     )
     return float(best), full
+
+
+def sequential_predictive_oracle(stats, words, hyper) -> float:
+    """Log Dirichlet-multinomial marginal of ``words`` given a pattern.
+
+    Feeds the document through token by token, multiplying posterior
+    predictive word probabilities (Cv + th0)/(C + V*th0) with running
+    counts (the chain rule; no log-gamma). ``stats=None`` is a new pattern.
+    """
+    vt = hyper.vocab_size * hyper.theta0
+    counts = dict(stats.word_counts) if stats is not None else {}
+    total = stats.total_words if stats is not None else 0
+    out = 0.0
+    for v in words:
+        out += log((counts.get(v, 0) + hyper.theta0) / (total + vt))
+        counts[v] = counts.get(v, 0) + 1
+        total += 1
+    return out
 
 
 def content_marginal_enumeration(vocab_size, theta0, pattern_counts, doc_len):

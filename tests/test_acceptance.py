@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from sdhawkes.content import DocCounts, content_log_marginal, sequential_predictive_oracle
 from sdhawkes.evaluation import (
     SmcPredictor,
     UniformPredictor,
@@ -26,17 +25,18 @@ from sdhawkes.evaluation import (
     spatial_gof,
 )
 from sdhawkes.generate import SynthConfig, generate
-from sdhawkes.hawkes import alpha_map
+from sdhawkes.hawkes import fit_kernel
 from sdhawkes.smc import EngineConfig, ParticleSystem
-from sdhawkes.spatial import spatial_log_marginal_from_stats
 from sdhawkes.types import Hyperparams
 
 from oracles import (
     alpha_argmax_grid,
     build_stats,
     enumerate_posterior,
+    sequential_predictive_oracle,
     spatial_predictive_quadrature,
 )
+from probes import content_term, spatial_term
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -66,9 +66,8 @@ def test_criterion_1_content_oracle():
                 for _ in range(n_docs)]
         stats = build_stats(times=np.arange(float(n_docs)), docs=docs) \
             if n_docs else None
-        doc = DocCounts.from_words(list(rng.integers(0, v,
-                                                     size=rng.integers(1, 12))))
-        gap = abs(content_log_marginal(stats, doc, hyper)
+        doc = list(rng.integers(0, v, size=rng.integers(1, 12)))
+        gap = abs(content_term(stats, doc, hyper)
                   - sequential_predictive_oracle(stats, doc, hyper))
         worst = max(worst, gap)
     oracle_ok = worst < 1e-9
@@ -78,8 +77,7 @@ def test_criterion_1_content_oracle():
         hyper = Hyperparams(vocab_size=v, theta0=0.7)
         stats = build_stats(times=[0.0], docs=[[0] * 2]) if v > 1 else None
         total = math.fsum(
-            math.exp(content_log_marginal(
-                stats, DocCounts.from_words(list(doc)), hyper))
+            math.exp(content_term(stats, list(doc), hyper))
             for doc in itertools.product(range(v), repeat=length))
         norm_worst = max(norm_worst, abs(total - 1.0))
     norm_ok = norm_worst < 1e-8
@@ -99,7 +97,7 @@ def test_criterion_2_spatial_oracle():
         beta = float(rng.uniform(0.05, 2.0))
         q = pts.mean(axis=0) + rng.normal(0, 1.5, size=2)
         stats = build_stats(times=np.arange(float(n)), locations=pts)
-        fast = spatial_log_marginal_from_stats(stats, beta, q[0], q[1])
+        fast = spatial_term(stats, beta, q[0], q[1])
         slow = spatial_predictive_quadrature(pts, beta, q, n_z=601, n_u=1001)
         worst = max(worst, abs(fast - slow) / abs(slow))
     elapsed = time.monotonic() - t0
@@ -121,7 +119,7 @@ def test_criterion_3_alpha_closed_form():
         t_now = float(times[-1] + rng.uniform(0.0, 3.0))
         hyper = Hyperparams(alpha_time=a, beta_time=b, psi_tau=(tau,))
         stats = build_stats(times=times, psi_tau=(tau,), tau=tau)
-        alpha_fast, _ = alpha_map(stats, tau, t_now, hyper)
+        alpha_fast, _, _ = fit_kernel(stats, t_now, hyper)
         alpha_slow, _ = alpha_argmax_grid(times, tau, t_now, a, b)
         worst = max(worst, abs(alpha_fast - alpha_slow) / alpha_slow)
     elapsed = time.monotonic() - t0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sdhawkes.types import GeoPost, Hyperparams, PatternStats, attach_post, pattern_summary
+from sdhawkes.types import GeoPost, Hyperparams, PatternStats, pattern_summary
 
 from oracles import build_stats, decay_sum_direct
 
@@ -11,7 +11,7 @@ from oracles import build_stats, decay_sum_direct
 def test_attach_first_post():
     stats = build_stats(times=[2.0], locations=[(0.3, 0.7)], docs=[[1, 2]])
     assert stats.n_posts == 1
-    assert stats.sum_x == 0.3 and stats.sum_y == 0.7
+    assert stats.mean_x == 0.3 and stats.mean_y == 0.7 and stats.m2 == 0.0
     assert stats.decay[0] == 1.0
     assert stats.t_ref == 2.0
     assert stats.word_counts == {1: 1, 2: 1}
@@ -65,19 +65,10 @@ def test_replay_matches_batch_recomputation():
             batch_counts[w] = batch_counts.get(w, 0) + 1
     assert stats.word_counts == batch_counts
     assert stats.total_words == sum(batch_counts.values())
-    assert stats.sum_x == pytest.approx(locs[:, 0].sum(), rel=1e-9)
-    assert stats.sum_y == pytest.approx(locs[:, 1].sum(), rel=1e-9)
-    assert stats.sum_r2 == pytest.approx((locs ** 2).sum(), rel=1e-9)
+    assert stats.mean_x == pytest.approx(locs[:, 0].mean(), rel=1e-9)
+    assert stats.mean_y == pytest.approx(locs[:, 1].mean(), rel=1e-9)
     centered = ((locs - locs.mean(axis=0)) ** 2).sum()
     assert stats.m2 == pytest.approx(centered, rel=1e-9)
-
-
-def test_cauchy_schwarz_invariant():
-    rng = np.random.default_rng(5)
-    locs = rng.normal(0.0, 3.0, size=(17, 2))
-    stats = build_stats(times=np.arange(17.0), locations=locs)
-    norm_sq = stats.sum_x ** 2 + stats.sum_y ** 2
-    assert stats.sum_r2 >= norm_sq / stats.n_spatial - 1e-9
 
 
 def test_skip_location_updates():
@@ -85,7 +76,7 @@ def test_skip_location_updates():
     stats.attach(1.0, [0], 9.0, 9.0, (1.0,), with_location=False)
     assert stats.n_posts == 2
     assert stats.n_spatial == 1
-    assert stats.sum_x == 0.0
+    assert stats.mean_x == 0.0 and stats.m2 == 0.0
 
 
 def test_pattern_summary_basics():
@@ -113,14 +104,6 @@ def test_pattern_summary_empty_errors():
         pattern_summary(stats, beta_space=0.5)
 
 
-def test_attach_post_wrapper():
-    stats = PatternStats(n_taus=1, alpha=0.5, tau=1.0, tau_idx=0)
-    post = GeoPost(t=0.5, words=[1], x=0.1, y=0.2)
-    attach_post(stats, post, (1.0,))
-    assert stats.n_posts == 1
-    assert stats.event_times == [0.5]
-
-
 def test_copy_is_independent():
     stats = build_stats(times=[0.0, 1.0], docs=[[1], [2]])
     dup = stats.copy(owner=object())
@@ -143,10 +126,13 @@ def test_hyperparams_validation():
 
 
 def test_geopost_validation():
-    GeoPost(t=0.0, words=[1], x=0.0, y=0.0).validate()
+    GeoPost(t=0.0, words=[1], x=0.0, y=0.0).validate(vocab_size=2)
+    GeoPost(t=0.0, words=[1], x=math.nan, y=0.0).validate(2, with_location=False)
     with pytest.raises(ValueError):
-        GeoPost(t=-1.0, words=[1], x=0.0, y=0.0).validate()
+        GeoPost(t=-1.0, words=[1], x=0.0, y=0.0).validate(2)
     with pytest.raises(ValueError):
-        GeoPost(t=0.0, words=[], x=0.0, y=0.0).validate()
+        GeoPost(t=0.0, words=[], x=0.0, y=0.0).validate(2)
     with pytest.raises(ValueError):
-        GeoPost(t=0.0, words=[1], x=math.nan, y=0.0).validate()
+        GeoPost(t=0.0, words=[2], x=0.0, y=0.0).validate(2)
+    with pytest.raises(ValueError):
+        GeoPost(t=0.0, words=[1], x=math.nan, y=0.0).validate(2)

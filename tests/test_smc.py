@@ -14,7 +14,15 @@ from sdhawkes.smc import (
 )
 from sdhawkes.types import GeoPost, Hyperparams, Particle, PatternStats
 
-from oracles import enumerate_posterior
+from sdhawkes import smc
+
+from oracles import (
+    assignment_prior,
+    enumerate_posterior,
+    intensity_direct,
+    sequential_predictive_oracle,
+    spatial_predictive_quadrature,
+)
 
 
 def base_hyper(**kw):
@@ -62,8 +70,6 @@ def test_proposal_hand_case_four_sevenths():
 def test_proposal_reduces_to_assignment_prior():
     # single-word vocabulary: the content marginal is exactly 1 for every
     # candidate, so with spatial off the proposal is the temporal prior
-    from sdhawkes.hawkes import assignment_prior
-
     hyper = base_hyper(lambda0=2.0, vocab_size=1, n_particles=1)
     config = EngineConfig(spatial=False, fixed_kernel=(0.8, 1.0))
     particle = Particle()
@@ -80,8 +86,6 @@ def test_proposal_reduces_to_assignment_prior():
 def test_proposal_identical_counts_preserve_prior_ratios():
     # identical word counts across existing patterns: their content factors
     # cancel pairwise, so proposal odds between them equal prior odds
-    from sdhawkes.hawkes import assignment_prior
-
     hyper = base_hyper(lambda0=2.0, vocab_size=3, n_particles=1)
     config = EngineConfig(spatial=False, fixed_kernel=(0.8, 1.0))
     particle = Particle()
@@ -265,6 +269,43 @@ def test_step_rejects_out_of_order():
         system.step(GeoPost(t=0.5, words=[0], x=0.5, y=0.5))
 
 
+@pytest.mark.parametrize("field,post,observe", [
+    ("t", GeoPost(t=math.nan, words=[0], x=0.5, y=0.5), True),
+    ("t", GeoPost(t=math.inf, words=[0], x=0.5, y=0.5), True),
+    ("words", GeoPost(t=2.0, words=[], x=0.5, y=0.5), True),
+    ("words", GeoPost(t=2.0, words=[7, 9], x=0.5, y=0.5), True),
+    ("words", GeoPost(t=2.0, words=[1, -1], x=0.5, y=0.5), False),
+    ("words", GeoPost(t=2.0, words=[1.5], x=0.5, y=0.5), True),
+    ("x, y", GeoPost(t=2.0, words=[0], x=math.nan, y=0.5), True),
+    ("x, y", GeoPost(t=2.0, words=[0], x=0.5, y=math.inf), True),
+])
+def test_step_rejects_invalid_post(field, post, observe):
+    hyper = base_hyper(n_particles=2, vocab_size=5)
+    system = ParticleSystem(hyper, EngineConfig(seed=18))
+    for t in (0.5, 1.0):
+        system.step(GeoPost(t=t, words=[1, 2], x=0.5, y=0.5))
+    n, t_last, log_weights = system.n, system.t_last, system.log_weights.copy()
+    with pytest.raises(ValueError, match=field):
+        system.step(post, observe_location=observe)
+    kind = "spatial" if observe else "content"
+    with pytest.raises(ValueError, match=field):
+        system.predictive_logdensity(post, kind)
+    assert (system.n, system.t_last) == (n, t_last)
+    assert np.array_equal(system.log_weights, log_weights)
+
+
+def test_hidden_post_location_is_not_read():
+    hyper = base_hyper(n_particles=2, vocab_size=5)
+    system = ParticleSystem(hyper, EngineConfig(seed=19))
+    system.step(GeoPost(t=0.5, words=[1, 2], x=0.5, y=0.5))
+    hidden = GeoPost(t=1.0, words=[1], x=math.nan, y=math.inf)
+    assert math.isfinite(system.predictive_logdensity(hidden, "content"))
+    system.step(hidden, observe_location=False)
+    system.step(GeoPost(t=1.5, words=[2], x=0.4, y=0.6))
+    assert system.n == 3
+    assert np.all(np.isfinite(system.log_weights))
+
+
 def test_state_replay_consistency():
     # after heavy resampling, every particle's pattern statistics must equal
     # a from-scratch replay of its assignment history (copy-on-write safety)
@@ -291,7 +332,8 @@ def test_state_replay_consistency():
                 assert st.n_posts == rep.n_posts
                 assert st.event_times == rep.event_times
                 assert st.word_counts == rep.word_counts
-                assert st.sum_x == pytest.approx(rep.sum_x, rel=1e-9, abs=1e-12)
+                assert st.mean_x == pytest.approx(rep.mean_x, rel=1e-9, abs=1e-12)
+                assert st.mean_y == pytest.approx(rep.mean_y, rel=1e-9, abs=1e-12)
                 assert st.m2 == pytest.approx(rep.m2, rel=1e-9, abs=1e-12)
 
 
@@ -352,6 +394,49 @@ def test_map_estimate_empty_errors():
     system = ParticleSystem(base_hyper(n_particles=1), EngineConfig())
     with pytest.raises(ValueError):
         system.map_estimate()
+
+
+# ----------------------------------------------------------------------
+# one-step-ahead predictive
+
+
+@pytest.mark.parametrize("kind", ["spatial", "content"])
+def test_predictive_logdensity_matches_oracle_mixture(kind):
+    # log sum_p w_p [sum_k lambda_k(t) f_k + lambda0 f_new] / lambda(t), with
+    # every term recomputed from the particles' raw histories
+    alpha0, tau0 = 1.2, 1.0
+    hyper = base_hyper(lambda0=2.0, vocab_size=6, beta_space=0.005,
+                       n_particles=3, kappa_thresh=0.01)
+    posts = make_stream(10, seed=17, hyper=hyper, n_words=3, sigma0=0.03,
+                        alpha0=alpha0)
+    system = ParticleSystem(hyper, EngineConfig(fixed_kernel=(alpha0, tau0), seed=17))
+    for post in posts:
+        system.step(post)
+    assert system.n_resamples == 0
+    assert np.ptp(system.weights) > 1e-3
+    query = GeoPost(t=posts[-1].t + 0.3, words=[1, 4, 1],
+                    x=posts[-1].x + 0.05, y=posts[-1].y - 0.02)
+
+    expected = 0.0
+    for w_p, particle in zip(system.weights, system.particles):
+        assign = particle.assignments()
+        lam_t = hyper.lambda0
+        mix = hyper.lambda0 * (1.0 if kind == "spatial" else math.exp(
+            sequential_predictive_oracle(None, query.words, hyper)))
+        for label, stats in particle.patterns.items():
+            lam_k = intensity_direct(stats.event_times, query.t, alpha0, tau0)
+            if kind == "spatial":
+                members = [(p.x, p.y) for p, lab in zip(posts, assign) if lab == label]
+                log_f = spatial_predictive_quadrature(
+                    members, hyper.beta_space, (query.x, query.y), n_z=601, n_u=1001)
+            else:
+                log_f = sequential_predictive_oracle(stats, query.words, hyper)
+            lam_t += lam_k
+            mix += lam_k * math.exp(log_f)
+        expected += w_p * mix / lam_t
+    got = system.predictive_logdensity(query, kind)
+    rel = 1e-4 if kind == "spatial" else 1e-9
+    assert got == pytest.approx(math.log(expected), rel=rel)
 
 
 # ----------------------------------------------------------------------
@@ -418,6 +503,31 @@ def test_checkpoint_resume_bit_for_bit(tmp_path):
     assert ra.kernels == rb.kernels
 
 
+def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
+    hyper = base_hyper(n_particles=2)
+    posts = make_stream(30, seed=20)
+    system = ParticleSystem(hyper, EngineConfig(seed=20))
+    for post in posts[:15]:
+        system.step(post)
+    path = tmp_path / "ckpt.json"
+    system.save_checkpoint(path)
+    for post in posts[15:]:
+        system.step(post)
+
+    def torn_dump(obj, fh):
+        fh.write(smc.json.dumps(obj)[:200])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(smc.json, "dump", torn_dump)
+    with pytest.raises(OSError, match="disk full"):
+        system.save_checkpoint(path)
+    monkeypatch.undo()
+    assert ParticleSystem.load_checkpoint(path).n == 15
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+    system.save_checkpoint(path)
+    assert ParticleSystem.load_checkpoint(path).n == 30
+
+
 def test_checkpoint_version_guard(tmp_path):
     system = ParticleSystem(base_hyper(n_particles=1), EngineConfig())
     system.step(GeoPost(t=0.1, words=[0], x=0.5, y=0.5))
@@ -434,24 +544,6 @@ def test_checkpoint_version_guard(tmp_path):
 
 # ----------------------------------------------------------------------
 # pruning
-
-
-def test_prior_draw_kernel_init():
-    hyper = base_hyper(n_particles=2)
-    posts = make_stream(60, seed=15)
-    a = ParticleSystem(hyper, EngineConfig(seed=15, init_kernel="prior_draw"))
-    b = ParticleSystem(hyper, EngineConfig(seed=15, init_kernel="prior_draw"))
-    for post in posts:
-        a.step(post)
-        b.step(post)
-    assert a.map_estimate().assignments == b.map_estimate().assignments
-    # singleton patterns carry drawn kernels, which vary across patterns
-    singles = [s for p in a.particles for s in p.all_patterns().values()
-               if s.n_posts == 1]
-    if len(singles) >= 2:
-        assert len({s.alpha for s in singles}) > 1
-    with pytest.raises(ValueError):
-        ParticleSystem(hyper, EngineConfig(init_kernel="bogus"))
 
 
 def test_fast_refit_mode_runs():

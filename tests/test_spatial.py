@@ -4,29 +4,24 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sdhawkes.spatial import (
-    SpatialPredictiveInputs,
-    spatial_log_marginal,
-    spatial_log_marginal_from_stats,
-    spatial_point_estimate,
-    spatial_scale_estimate,
-)
+from sdhawkes.smc import EngineConfig, ParticleSystem
+from sdhawkes.spatial import spatial_point_estimate, spatial_scale_estimate
+from sdhawkes.types import GeoPost, Hyperparams
 
 from oracles import build_stats, spatial_predictive_quadrature
+from probes import spatial_term
 
 
 def test_empty_pattern_density_is_one():
-    inputs = SpatialPredictiveInputs(
-        n=0, sum_r=(0.0, 0.0), sum_r2=0.0, beta_space=0.5, r=(3.0, -2.0)
-    )
-    assert spatial_log_marginal(inputs) == 0.0
+    # a pattern whose posts all had hidden locations, and "new"
+    hidden = build_stats(times=[0.0, 1.0], with_location=False)
+    assert spatial_term(hidden, 0.5, 3.0, -2.0) == 0.0
+    assert spatial_term(None, 0.5, 3.0, -2.0) == 0.0
 
 
 def test_single_post_at_origin():
-    inputs = SpatialPredictiveInputs(
-        n=1, sum_r=(0.0, 0.0), sum_r2=0.0, beta_space=0.5, r=(0.0, 0.0)
-    )
-    assert spatial_log_marginal(inputs) == pytest.approx(math.log(1.0 / (2.0 * math.pi)))
+    stats = build_stats(times=[0.0], locations=[(0.0, 0.0)])
+    assert spatial_term(stats, 0.5, 0.0, 0.0) == pytest.approx(math.log(1.0 / (2.0 * math.pi)))
 
 
 def test_single_post_matches_quadrature():
@@ -35,11 +30,10 @@ def test_single_post_matches_quadrature():
 
 
 def test_nonfinite_query_rejected():
-    inputs = SpatialPredictiveInputs(
-        n=1, sum_r=(0.0, 0.0), sum_r2=0.0, beta_space=0.5, r=(math.inf, 0.0)
-    )
-    with pytest.raises(ValueError):
-        spatial_log_marginal(inputs)
+    system = ParticleSystem(Hyperparams(n_particles=1), EngineConfig())
+    system.step(GeoPost(t=0.0, words=[0], x=0.0, y=0.0))
+    with pytest.raises(ValueError, match="x, y"):
+        system.predictive_logdensity(GeoPost(t=1.0, words=[0], x=math.inf, y=0.0), "spatial")
 
 
 def test_translation_invariance():
@@ -49,8 +43,8 @@ def test_translation_invariance():
     shift = np.array([123.4, -77.1])
     stats = build_stats(times=np.arange(6.0), locations=pts)
     stats_shifted = build_stats(times=np.arange(6.0), locations=pts + shift)
-    a = spatial_log_marginal_from_stats(stats, 0.2, q[0], q[1])
-    b = spatial_log_marginal_from_stats(stats_shifted, 0.2, *(q + shift))
+    a = spatial_term(stats, 0.2, q[0], q[1])
+    b = spatial_term(stats_shifted, 0.2, *(q + shift))
     assert a == pytest.approx(b, rel=1e-9)
 
 
@@ -63,7 +57,7 @@ def test_rotation_invariance_about_mean():
     vals = []
     for angle in np.linspace(0, 2 * math.pi, 9):
         q = mean + radius * np.array([math.cos(angle), math.sin(angle)])
-        vals.append(spatial_log_marginal_from_stats(stats, 0.2, q[0], q[1]))
+        vals.append(spatial_term(stats, 0.2, q[0], q[1]))
     assert max(vals) - min(vals) < 1e-9
 
 
@@ -75,7 +69,7 @@ def test_quadrature_oracle_randomized():
         beta = float(rng.uniform(0.05, 2.0))
         q = pts.mean(axis=0) + rng.normal(0, 1.0, size=2)
         stats = build_stats(times=np.arange(float(n)), locations=pts)
-        fast = spatial_log_marginal_from_stats(stats, beta, q[0], q[1])
+        fast = spatial_term(stats, beta, q[0], q[1])
         slow = spatial_predictive_quadrature(pts, beta, q)
         assert abs(fast - slow) / abs(slow) < 1e-4
 
@@ -88,7 +82,7 @@ def test_density_normalizes_over_plane():
 
     def radial(rad):
         q = (stats.mean_x + rad, stats.mean_y)
-        return math.exp(spatial_log_marginal_from_stats(stats, beta, *q)) * 2 * math.pi * rad
+        return math.exp(spatial_term(stats, beta, *q)) * 2 * math.pi * rad
 
     mass, _ = quad(radial, 0.0, 400.0, limit=400)
     assert mass == pytest.approx(1.0, abs=1e-3)
@@ -104,7 +98,7 @@ def test_chain_rule_exchangeability():
         total = 0.0
         for idx in order:
             x, y = pts[idx]
-            total += spatial_log_marginal_from_stats(stats, beta, x, y)
+            total += spatial_term(stats, beta, x, y)
             stats.attach(float(stats.n_posts), [0], x, y, (1.0,))
         return total
 
