@@ -58,9 +58,6 @@ DEFAULTS = {
     "seed": 0,
 }
 
-HYPER_KEYS = ("lambda0", "theta0", "beta_space", "alpha_time", "beta_time",
-              "psi_tau", "vocab_size", "particles", "kappa_thresh")
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors are validation errors: exit 1
@@ -155,6 +152,12 @@ def cmd_infer(args) -> int:
     if args.resume:
         system = ParticleSystem.load_checkpoint(args.resume)
         data = _load_stream(args.input, conf["top_k"])
+        if len(data.posts) < system.n:
+            raise ValueError(f"input has {len(data.posts)} posts, fewer than the "
+                             f"{system.n} the checkpoint has processed")
+        if data.vocab_size != system.hyper.vocab_size:
+            raise ValueError(f"input vocabulary has {data.vocab_size} words, the "
+                             f"checkpoint's has {system.hyper.vocab_size}")
         posts = data.posts[system.n:]
     else:
         data = _load_stream(args.input, conf["top_k"])
@@ -317,9 +320,13 @@ def cmd_gof(args) -> int:
     rows.append(("perplexity", "uniform", float(hyper.vocab_size)))
 
     if args.with_gmm:
+        # component schedule: the pattern count of the heaviest particle
+        # after each post
         counter = ParticleSystem(hyper, engine)
-        counter.run(data.posts[:needed], track_pattern_counts=True)
-        schedule = counter.pattern_counts
+        schedule = []
+        for post in data.posts[:needed]:
+            counter.step(post)
+            schedule.append(counter.particles[int(np.argmax(counter.weights))].S)
         gmm = GmmStreamPredictor(schedule, 2.0 * hyper.beta_space,
                                  seed=conf["seed"])
         rows.append(("spatial_gof", "gmm",

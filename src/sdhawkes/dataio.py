@@ -81,6 +81,12 @@ def _parse_time(value) -> float:
     return dt.timestamp() / SECONDS_PER_DAY
 
 
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _row_to_post(row: dict) -> RawPost:
     text = row.get("text")
     if text is None:
@@ -92,13 +98,13 @@ def _row_to_post(row: dict) -> RawPost:
             raise ValueError(f"latitude {lat} out of range")
         if not (-180.0 <= lon <= 180.0):
             raise ValueError(f"longitude {lon} out of range")
-        t = _parse_time(row["t"])
+        t = _finite("t", _parse_time(row["t"]))
         return RawPost(t_days=t, text=str(text), lat=lat, lon=lon)
     if row.get("x") not in (None, "") and row.get("y") not in (None, ""):
         # planar records carry model time (days) directly
-        t = float(row["t"])
-        return RawPost(t_days=t, text=str(text), x=float(row["x"]),
-                       y=float(row["y"]))
+        return RawPost(t_days=_finite("t", float(row["t"])), text=str(text),
+                       x=_finite("x", float(row["x"])),
+                       y=_finite("y", float(row["y"])))
     raise ValueError("needs either lat/lon or x/y")
 
 

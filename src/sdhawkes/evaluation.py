@@ -14,8 +14,7 @@ import numpy as np
 
 from .baselines import gmm_predictive_logdensity, fit_isotropic_gmm
 from .smc import EngineConfig, ParticleSystem
-from .spatial import spatial_point_estimate, spatial_scale_estimate
-from .types import ClusteringResult, GeoPost, Hyperparams
+from .types import ClusteringResult, GeoPost, Hyperparams, pattern_summary
 
 __all__ = [
     "nmi",
@@ -36,10 +35,6 @@ __all__ = [
 GOF_BURN_IN = 500
 GOF_WINDOW = 2000
 SIZE_FLOORS = {"loose": 7, "tight": 11}
-
-
-def _config_with_seed(config: EngineConfig, seed: int) -> EngineConfig:
-    return replace(config, seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -164,7 +159,7 @@ def location_prediction_protocol(posts, hyper: Hyperparams,
         rng = np.random.default_rng(seeds[trial])
         hidden = set(int(i) for i in rng.choice(eligible, size=n_hide,
                                                 replace=False))
-        cfg = _config_with_seed(base_cfg, int(rng.integers(2 ** 31)))
+        cfg = replace(base_cfg, seed=int(rng.integers(2 ** 31)))
         system = ParticleSystem(hyper, cfg)
         system.run(posts, hidden=hidden)
         result = system.map_estimate()
@@ -173,12 +168,13 @@ def location_prediction_protocol(posts, hyper: Hyperparams,
             stats = result.patterns[label]
             if stats.n_spatial < 1:
                 continue
+            summary = pattern_summary(stats, hyper.beta_space)
             record = PredictionRecord(
                 index=i,
-                predicted=spatial_point_estimate(stats),
+                predicted=summary.mean,
                 actual=(posts[i].x, posts[i].y),
                 pattern_size=stats.n_posts,
-                sigma=spatial_scale_estimate(stats, hyper.beta_space),
+                sigma=summary.scale,
                 trial=trial,
             )
             kept = best.get(i)

@@ -50,7 +50,7 @@ __all__ = [
     "incremental_weight",
 ]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(slots=True)
@@ -102,7 +102,6 @@ class ParticleSystem:
         self.rngs = [np.random.default_rng(s) for s in children[:-1]]
         self.resample_rng = np.random.default_rng(children[-1])
         self.n_resamples = 0
-        self.pattern_counts: list[int] = []
 
     # ------------------------------------------------------------------
     # stepping
@@ -182,16 +181,12 @@ class ParticleSystem:
 
     def run(self, posts, hidden: set[int] | None = None,
             checkpoint_every: int | None = None,
-            checkpoint_path=None,
-            track_pattern_counts: bool = False) -> "ParticleSystem":
+            checkpoint_path=None) -> "ParticleSystem":
         """Process a chronological stream; indices in ``hidden`` contribute
         no location information."""
         for post in posts:
             observe = hidden is None or self.n not in hidden
             self.step(post, observe_location=observe)
-            if track_pattern_counts:
-                best = int(np.argmax(self.weights))
-                self.pattern_counts.append(self.particles[best].S)
             if (checkpoint_every and checkpoint_path
                     and self.n % checkpoint_every == 0):
                 self.save_checkpoint(checkpoint_path)
@@ -286,7 +281,6 @@ class ParticleSystem:
             "log_weights": [float(v) for v in self.log_weights],
             "resample_rng": _rng_state(self.resample_rng),
             "rngs": [_rng_state(r) for r in self.rngs],
-            "pattern_counts": self.pattern_counts,
             "particles": [self._particle_payload(p) for p in self.particles],
         }
         # write a sibling file, then rename over the target, so a crash
@@ -338,11 +332,7 @@ class ParticleSystem:
         _set_rng_state(system.resample_rng, payload["resample_rng"])
         for rng, state in zip(system.rngs, payload["rngs"]):
             _set_rng_state(rng, state)
-        system.pattern_counts = list(payload.get("pattern_counts", []))
-        system.particles = [
-            _particle_from_payload(p, len(system.cache_taus))
-            for p in payload["particles"]
-        ]
+        system.particles = [_particle_from_payload(p) for p in payload["particles"]]
         return system
 
 
@@ -542,45 +532,33 @@ def _set_rng_state(rng: np.random.Generator, state: dict) -> None:
     rng.bit_generator.state = state
 
 
-_STATS_FIELDS = (
-    "n_posts", "n_spatial", "total_words", "mean_x", "mean_y", "m2", "t_ref", "alpha", "tau", "tau_idx",
-)
+# a pattern's checkpointed state: every PatternStats field but the
+# copy-on-write token
+_STATS_STATE = tuple(name for name in PatternStats.__slots__ if name != "owner")
 
 
 def _stats_payload(stats: PatternStats) -> dict:
-    out = {name: getattr(stats, name) for name in _STATS_FIELDS}
-    out["word_counts"] = {str(k): v for k, v in stats.word_counts.items()}
-    out["event_times"] = stats.event_times
-    out["decay"] = stats.decay
-    out["log_decay"] = ["-inf" if v == -math.inf else v for v in stats.log_decay]
-    out["log_trigger"] = stats.log_trigger
-    return out
+    return {name: getattr(stats, name) for name in _STATS_STATE}
 
 
-def _stats_from_payload(payload: dict, n_taus: int, owner: object) -> PatternStats:
-    stats = PatternStats(n_taus, payload["alpha"], payload["tau"],
-                         payload["tau_idx"], owner=owner)
-    for name in _STATS_FIELDS:
+def _stats_from_payload(payload: dict, owner: object) -> PatternStats:
+    stats = PatternStats.__new__(PatternStats)
+    stats.owner = owner
+    for name in _STATS_STATE:
         setattr(stats, name, payload[name])
-    stats.word_counts = {int(k): v for k, v in payload["word_counts"].items()}
-    stats.event_times = list(payload["event_times"])
-    stats.decay = list(payload["decay"])
-    stats.log_decay = [-math.inf if v == "-inf" else v
-                       for v in payload["log_decay"]]
-    stats.log_trigger = list(payload["log_trigger"])
+    # JSON object keys are strings; word ids are ints
+    stats.word_counts = {int(k): v for k, v in stats.word_counts.items()}
     return stats
 
 
-def _particle_from_payload(payload: dict, n_taus: int) -> Particle:
+def _particle_from_payload(payload: dict) -> Particle:
     particle = Particle()
     particle.S = payload["S"]
     for label in payload["assignments"]:
         particle.record_assignment(label)
     for label, stats_d in payload["patterns"]:
-        particle.patterns[int(label)] = _stats_from_payload(
-            stats_d, n_taus, particle.token)
+        particle.patterns[int(label)] = _stats_from_payload(stats_d, particle.token)
     for label, stats_d in payload["archive"]:
-        particle.archive = (int(label),
-                            _stats_from_payload(stats_d, n_taus, particle.token),
+        particle.archive = (int(label), _stats_from_payload(stats_d, particle.token),
                             particle.archive)
     return particle

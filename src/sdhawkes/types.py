@@ -92,22 +92,16 @@ class Hyperparams:
             raise ValueError("vocab_size must be >= 1")
 
 
-def _logaddexp0(x: float) -> float:
-    # log(1 + e^x), stable for any finite x
-    if x > 0.0:
-        return x + math.log1p(math.exp(-x))
-    return math.log1p(math.exp(x))
-
-
 class PatternStats:
     """Sufficient statistics of one latent pattern.
 
     Temporal state is kept per allowed time constant tau: ``decay[i]`` is
-    sum_j exp(-(t_ref - t_j)/tau_i) over the pattern's events, ``log_decay``
-    the same quantity in log space (exact even after the linear value
-    underflows), and ``log_trigger[i]`` accumulates
-    sum_{j>=2} log sum_{k<j} exp(-(t_j - t_k)/tau_i), the tau-dependent part
-    of the pattern's event-time log likelihood.
+    sum_j exp(-(t_ref - t_j)/tau_i) over the pattern's events, and
+    ``log_trigger[i]`` accumulates sum_{j>=2} log sum_{k<j}
+    exp(-(t_j - t_k)/tau_i), the tau-dependent part of the pattern's
+    event-time log likelihood. ``t_ref`` is the latest event's time, whose
+    term in ``decay`` is exp(0) = 1, so once the pattern holds a post
+    ``decay[i] >= 1``: it cannot underflow and its log is always finite.
 
     Spatial state is the mean (``mean_x``, ``mean_y``) and the centered
     second moment ``m2`` = sum ||r_i - rbar||^2, updated Welford-style so the
@@ -134,7 +128,6 @@ class PatternStats:
         "event_times",
         "t_ref",
         "decay",
-        "log_decay",
         "log_trigger",
         "alpha",
         "tau",
@@ -154,7 +147,6 @@ class PatternStats:
         self.event_times: list[float] = []
         self.t_ref = 0.0
         self.decay = [0.0] * n_taus
-        self.log_decay = [-math.inf] * n_taus
         self.log_trigger = [0.0] * n_taus
         self.alpha = alpha
         self.tau = tau
@@ -173,7 +165,6 @@ class PatternStats:
         new.event_times = list(self.event_times)
         new.t_ref = self.t_ref
         new.decay = list(self.decay)
-        new.log_decay = list(self.log_decay)
         new.log_trigger = list(self.log_trigger)
         new.alpha = self.alpha
         new.tau = self.tau
@@ -190,24 +181,19 @@ class PatternStats:
                 )
             dt = t - self.t_ref
             decay = self.decay
-            log_decay = self.log_decay
             log_trigger = self.log_trigger
             for i, tau in enumerate(psi_tau):
                 step = -dt / tau
-                ld = log_decay[i] + step
+                log_trigger[i] += math.log(decay[i]) + step
                 decay[i] = decay[i] * math.exp(step) + 1.0
-                log_trigger[i] += ld
-                log_decay[i] = _logaddexp0(ld)
         else:
-            for i in range(len(psi_tau)):
-                self.decay[i] = 1.0
-                self.log_decay[i] = 0.0
+            self.decay = [1.0] * len(psi_tau)
         self.t_ref = t
         self.event_times.append(t)
         self.n_posts += 1
 
         wc = self.word_counts
-        for w in words:
+        for w in map(int, words):  # plain int keys survive a JSON round trip
             wc[w] = wc.get(w, 0) + 1
         self.total_words += len(words)
 
@@ -221,7 +207,11 @@ class PatternStats:
             self.n_spatial = n1
 
     def xi(self, beta_space: float) -> float:
-        """Posterior spatial scale: beta_space + half the centered 2-D SS."""
+        """Posterior spatial scale: beta_space + half the centered 2-D SS.
+
+        The location model is N(R, sigma^2 I) with a flat prior on the mean R
+        and sigma^2 ~ Inv-Gamma(1, beta_space) (shape/scale convention).
+        """
         return beta_space + 0.5 * self.m2
 
 
@@ -234,11 +224,10 @@ class Particle:
     ``archive`` is a shared cons chain of patterns retired by pruning.
     """
 
-    __slots__ = ("token", "n", "assign_tail", "patterns", "archive", "S")
+    __slots__ = ("token", "assign_tail", "patterns", "archive", "S")
 
     def __init__(self):
         self.token: object = object()
-        self.n = 0
         self.assign_tail: tuple | None = None
         self.patterns: dict[int, PatternStats] = {}
         self.archive: tuple | None = None
@@ -247,7 +236,6 @@ class Particle:
     def clone(self) -> Particle:
         new = Particle.__new__(Particle)
         new.token = object()
-        new.n = self.n
         new.assign_tail = self.assign_tail
         new.patterns = dict(self.patterns)
         new.archive = self.archive
@@ -264,7 +252,6 @@ class Particle:
 
     def record_assignment(self, label: int) -> None:
         self.assign_tail = (label, self.assign_tail)
-        self.n += 1
 
     def assignments(self) -> list[int]:
         out = []
@@ -309,13 +296,15 @@ class ClusteringResult:
     patterns: dict[int, PatternStats] = field(repr=False, default_factory=dict)
     kernels: dict[int, tuple[float, float]] = field(default_factory=dict)
 
-    def n_patterns(self) -> int:
-        return len(self.summaries)
-
 
 def pattern_summary(stats: PatternStats, beta_space: float, label: int = 0,
                     top_k: int = 10) -> PatternSummary:
-    """Condense one pattern: size, spatial mean/scale, kernel, top words."""
+    """Condense one pattern: size, spatial mean/scale, kernel, top words.
+
+    The spatial mean of the located posts is the point prediction for a
+    hidden location; the per-axis scale sqrt(xi / n) ranks patterns by
+    tightness. Both are NaN when no post of the pattern has a location.
+    """
     if stats.n_posts < 1:
         raise ValueError("cannot summarize an empty pattern")
     if stats.n_spatial >= 1:

@@ -1,10 +1,14 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from sdhawkes.cli import main
-from sdhawkes.dataio import read_assignments
+from sdhawkes.dataio import load_posts, preprocess, read_assignments
+from sdhawkes.evaluation import GmmStreamPredictor, spatial_gof
+from sdhawkes.smc import EngineConfig, ParticleSystem
+from sdhawkes.types import Hyperparams
 
 
 def run_cli(*argv):
@@ -198,3 +202,55 @@ def test_delta_alpha_command(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "bucket,count,median_delta_alpha" in out
+
+
+def test_gof_with_gmm_matches_direct_schedule(tmp_path):
+    posts_path, _ = gen_args(tmp_path, n=120, seed=21)
+    out = tmp_path / "metrics.csv"
+    code = run_cli("gof", "--input", posts_path, "--top-k", 0, "--particles", 2,
+                   "--burn-in", 30, "--window", 80, "--with-gmm", "--seed", 21,
+                   "--out", out)
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = {(r["metric"], r["model"]): float(r["value"])
+                for r in csv.DictReader(fh)}
+
+    # the component schedule: after each post, the pattern count S of the
+    # particle with the largest weight
+    raws, _ = load_posts(posts_path)
+    prep = preprocess(raws, top_k=0)
+    posts = prep.posts
+    hyper = Hyperparams(n_particles=2, vocab_size=prep.vocab_size)
+    system = ParticleSystem(hyper, EngineConfig(seed=21, prune_threshold=1e-12))
+    schedule = []
+    for post in posts[:110]:
+        system.step(post)
+        schedule.append(system.particles[int(np.argmax(system.weights))].S)
+    gmm = GmmStreamPredictor(schedule, 2.0 * hyper.beta_space, seed=21)
+    assert rows[("spatial_gof", "gmm")] == spatial_gof(posts, gmm, 30, 80)
+
+
+def test_infer_resume_rejects_mismatched_input(tmp_path, capsys):
+    posts, _ = gen_args(tmp_path / "full", n=60, seed=22)
+    ck = tmp_path / "ck.json"
+    assert run_cli("infer", "--input", posts, "--out-dir", tmp_path / "a",
+                   "--seed", 22, "--top-k", 0, "--particles", 2,
+                   "--checkpoint", ck) == 0
+    vocab = json.loads(ck.read_text())["hyper"]["vocab_size"]
+
+    short = tmp_path / "short.jsonl"
+    short.write_text("\n".join(posts.read_text().splitlines()[:20]) + "\n")
+    capsys.readouterr()
+    assert run_cli("infer", "--input", short, "--out-dir", tmp_path / "b",
+                   "--top-k", 0, "--resume", ck) == 1
+    err = capsys.readouterr().err
+    assert "20 posts" in err and "60" in err
+
+    small, _ = gen_args(tmp_path / "small", n=80, seed=22,
+                        extra=("--vocab-size", 8))
+    assert run_cli("infer", "--input", small, "--out-dir", tmp_path / "c",
+                   "--top-k", 0, "--resume", ck) == 1
+    small_vocab = preprocess(load_posts(small)[0], top_k=0).vocab_size
+    assert small_vocab != vocab
+    err = capsys.readouterr().err
+    assert f"{small_vocab} words" in err and f"has {vocab}" in err

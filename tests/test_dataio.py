@@ -56,6 +56,30 @@ def test_load_rejects_bad_rows_with_line_numbers(tmp_path):
     assert "line 2" in issues[0]
 
 
+def test_load_csv_rejects_nonfinite_coordinate(tmp_path):
+    path = tmp_path / "posts.csv"
+    path.write_text("t,x,y,text\n0.1,0.2,0.3,a b\n0.2,nan,0.3,a c\n0.3,0.1,inf,b c\n")
+    posts, issues = load_posts(path)
+    assert [p.t_days for p in posts] == [0.1]
+    assert issues == ["line 3: x must be finite, got nan",
+                      "line 4: y must be finite, got inf"]
+
+
+def test_load_jsonl_rejects_nonfinite_fields(tmp_path):
+    path = tmp_path / "posts.jsonl"
+    path.write_text(
+        '{"t": 0.5, "x": 0.1, "y": 0.2, "text": "ok"}\n'
+        '{"t": NaN, "x": 0.1, "y": 0.2, "text": "nan time"}\n'
+        '{"t": 0.7, "x": Infinity, "y": 0.2, "text": "inf x"}\n'
+        '{"t": NaN, "lat": 40.7, "lon": -74.0, "text": "nan epoch"}\n'
+    )
+    posts, issues = load_posts(path)
+    assert [p.text for p in posts] == ["ok"]
+    assert issues == ["line 2: t must be finite, got nan",
+                      "line 3: x must be finite, got inf",
+                      "line 4: t must be finite, got nan"]
+
+
 def test_load_empty_file_errors(tmp_path):
     path = tmp_path / "posts.jsonl"
     path.write_text("")

@@ -255,7 +255,7 @@ def test_step_contract():
         system.step(post)
         assert abs(system.weights.sum() - 1.0) < 1e-12
         for p in system.particles:
-            assert p.n == i + 1
+            assert len(p.assignments()) == i + 1
             total = sum(s.n_posts for s in p.all_patterns().values())
             assert total == i + 1
             assert all(label < p.S for label in p.assignments())
@@ -470,33 +470,60 @@ def test_smc_approaches_enumerated_posterior():
 # checkpointing
 
 
-def test_checkpoint_resume_bit_for_bit(tmp_path):
-    hyper = base_hyper(n_particles=4)
-    posts = make_stream(80, seed=13)
-    straight = ParticleSystem(hyper, EngineConfig(seed=13))
+def archived_labels(particle):
+    labels = []
+    node = particle.archive
+    while node is not None:
+        labels.append(node[0])
+        node = node[2]
+    return labels
+
+
+FIVE_TAUS = (1 / 24, 1 / 4, 1.0, 7.0, 30.0)
+
+
+@pytest.mark.parametrize("n_posts, split, hyper_kw, prune, stream_kw", [
+    (80, 40, {}, 0.0, {}),
+    (400, 200, dict(lambda0=5.0, psi_tau=FIVE_TAUS, vocab_size=30), 1e-12,
+     dict(n_words=3, sigma0=0.05, alpha0=0.8)),
+], ids=["exact", "pruned-five-tau"])
+def test_checkpoint_resume_bit_for_bit(tmp_path, n_posts, split, hyper_kw, prune,
+                                       stream_kw):
+    hyper = base_hyper(n_particles=4, **hyper_kw)
+    posts = make_stream(n_posts, seed=13, hyper=hyper, **stream_kw)
+    config = EngineConfig(seed=13, prune_threshold=prune)
+    straight = ParticleSystem(hyper, config)
     for post in posts:
         straight.step(post)
 
-    resumed = ParticleSystem(hyper, EngineConfig(seed=13))
-    for post in posts[:40]:
+    resumed = ParticleSystem(hyper, config)
+    for post in posts[:split]:
         resumed.step(post)
+    if prune:
+        assert all(archived_labels(p) for p in resumed.particles)
     path = tmp_path / "ckpt.json"
     resumed.save_checkpoint(path)
     resumed = ParticleSystem.load_checkpoint(path)
-    for post in posts[40:]:
+    for post in posts[split:]:
         resumed.step(post)
 
     assert np.array_equal(straight.log_weights, resumed.log_weights)
     assert straight.t_last == resumed.t_last
+    assert straight.n_resamples == resumed.n_resamples
     for a, b in zip(straight.particles, resumed.particles):
         assert a.assignments() == b.assignments()
+        assert a.S == b.S
+        assert archived_labels(a) == archived_labels(b)
         pa = a.all_patterns()
         pb = b.all_patterns()
         assert set(pa) == set(pb)
         for label in pa:
             assert pa[label].event_times == pb[label].event_times
+            assert pa[label].word_counts == pb[label].word_counts
             assert pa[label].decay == pb[label].decay
+            assert pa[label].log_trigger == pb[label].log_trigger
             assert pa[label].alpha == pb[label].alpha
+            assert pa[label].tau_idx == pb[label].tau_idx
     ra = straight.map_estimate()
     rb = resumed.map_estimate()
     assert ra.assignments == rb.assignments
@@ -528,6 +555,19 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
     assert ParticleSystem.load_checkpoint(path).n == 30
 
 
+def test_checkpoint_keeps_numpy_word_ids(tmp_path):
+    system = ParticleSystem(base_hyper(n_particles=2), EngineConfig(seed=3))
+    for i, post in enumerate(make_stream(20, seed=3)):
+        post.words = [np.int64(w) if i % 2 else float(w) for w in post.words]
+        system.step(post)
+    path = tmp_path / "ckpt.json"
+    system.save_checkpoint(path)
+    loaded = ParticleSystem.load_checkpoint(path)
+    for a, b in zip(system.particles, loaded.particles):
+        assert {k: s.word_counts for k, s in a.all_patterns().items()} == \
+            {k: s.word_counts for k, s in b.all_patterns().items()}
+
+
 def test_checkpoint_version_guard(tmp_path):
     system = ParticleSystem(base_hyper(n_particles=1), EngineConfig())
     system.step(GeoPost(t=0.1, words=[0], x=0.5, y=0.5))
@@ -536,10 +576,13 @@ def test_checkpoint_version_guard(tmp_path):
     import json
 
     payload = json.loads(path.read_text())
-    payload["version"] = 999
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError):
-        ParticleSystem.load_checkpoint(path)
+    assert payload["version"] == smc.CHECKPOINT_VERSION
+    # 2 is the layout before the decay sum was stored once
+    for version in (2, 999):
+        payload["version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            ParticleSystem.load_checkpoint(path)
 
 
 # ----------------------------------------------------------------------

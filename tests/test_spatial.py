@@ -5,8 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from sdhawkes.smc import EngineConfig, ParticleSystem
-from sdhawkes.spatial import spatial_point_estimate, spatial_scale_estimate
-from sdhawkes.types import GeoPost, Hyperparams
+from sdhawkes.types import GeoPost, Hyperparams, pattern_summary
 
 from oracles import build_stats, spatial_predictive_quadrature
 from probes import spatial_term
@@ -107,40 +106,48 @@ def test_chain_rule_exchangeability():
         assert joint_log(order) == pytest.approx(base, abs=1e-8)
 
 
+def point_estimate(stats):
+    return pattern_summary(stats, 0.1).mean
+
+
+def scale_estimate(stats, beta_space):
+    return pattern_summary(stats, beta_space).scale
+
+
 def test_point_estimate():
     stats = build_stats(times=[0.0], locations=[(1.0, 2.0)])
-    assert spatial_point_estimate(stats) == pytest.approx((1.0, 2.0))
+    assert point_estimate(stats) == pytest.approx((1.0, 2.0))
     stats2 = build_stats(times=[0.0, 1.0], locations=[(0.0, 0.0), (4.0, 0.0)])
-    assert spatial_point_estimate(stats2) == pytest.approx((2.0, 0.0))
+    assert point_estimate(stats2) == pytest.approx((2.0, 0.0))
 
 
 def test_point_estimate_statistical():
     rng = np.random.default_rng(4)
     pts = rng.normal(5.0, 0.5, size=(100, 2))
     stats = build_stats(times=np.arange(100.0), locations=pts)
-    est = spatial_point_estimate(stats)
+    est = point_estimate(stats)
     tol = 3 * 0.5 / 10.0
     assert abs(est[0] - 5.0) < tol and abs(est[1] - 5.0) < tol
 
 
 def test_scale_estimate():
     stats = build_stats(times=[0.0], locations=[(3.0, 1.0)])
-    assert spatial_scale_estimate(stats, 0.5) == pytest.approx(math.sqrt(0.5))
+    assert scale_estimate(stats, 0.5) == pytest.approx(math.sqrt(0.5))
     stats2 = build_stats(times=[0.0, 1.0], locations=[(0.0, 0.0), (2.0, 0.0)])
-    assert spatial_scale_estimate(stats2, 1e-12) == pytest.approx(math.sqrt(0.5), rel=1e-6)
+    assert scale_estimate(stats2, 1e-12) == pytest.approx(math.sqrt(0.5), rel=1e-6)
 
 
 def test_scale_shrinks_with_duplicate_mean():
     stats = build_stats(times=[0.0, 1.0], locations=[(0.0, 0.0), (2.0, 0.0)])
-    before = spatial_scale_estimate(stats, 0.1)
+    before = scale_estimate(stats, 0.1)
     stats.attach(2.0, [0], 1.0, 0.0, (1.0,))
-    after = spatial_scale_estimate(stats, 0.1)
+    after = scale_estimate(stats, 0.1)
     assert after < before
 
 
 def test_estimates_require_located_posts():
-    stats = build_stats()
     with pytest.raises(ValueError):
-        spatial_point_estimate(stats)
-    with pytest.raises(ValueError):
-        spatial_scale_estimate(stats, 0.1)
+        pattern_summary(build_stats(), 0.1)
+    hidden = pattern_summary(build_stats(times=[0.0, 1.0], with_location=False), 0.1)
+    assert all(math.isnan(v) for v in hidden.mean)
+    assert math.isnan(hidden.scale)
