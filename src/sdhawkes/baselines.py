@@ -1,37 +1,24 @@
-"""Comparison models.
+"""Streaming isotropic Gaussian mixture, the spatial comparison model.
 
-The content+time baseline is the engine itself with the spatial factor
-disabled (same code path, one flag). The spatial baseline is a streaming
-isotropic Gaussian mixture refit by EM at each step with a component count
-schedule supplied by the caller and a variance floor of 2 * beta_space.
+``fit_isotropic_gmm`` is the EM fit that ``evaluation.GmmStreamPredictor``
+repeats on each location prefix, with a component count schedule supplied
+by the caller and a variance floor of 2 * beta_space. The content+time
+comparison model is not here: it is the engine itself with the spatial
+factor off, ``EngineConfig(spatial=False)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .smc import EngineConfig, ParticleSystem
-from .types import ClusteringResult, Hyperparams
-
 __all__ = [
-    "run_dhp",
     "GmmModel",
     "fit_isotropic_gmm",
-    "gmm_fit_stream",
     "gmm_predictive_logdensity",
 ]
-
-
-def run_dhp(posts, hyper: Hyperparams, config: EngineConfig | None = None,
-            hidden: set[int] | None = None) -> ClusteringResult:
-    """Run inference with the spatial likelihood forced to 1 everywhere."""
-    cfg = replace(config or EngineConfig(), spatial=False)
-    system = ParticleSystem(hyper, cfg)
-    system.run(posts, hidden=hidden)
-    return system.map_estimate()
 
 
 @dataclass(slots=True)
@@ -42,22 +29,6 @@ class GmmModel:
     means: np.ndarray       # (k, 2)
     variances: np.ndarray   # (k,), all >= var_floor
     var_floor: float
-
-    def validate(self) -> None:
-        if abs(float(self.weights.sum()) - 1.0) > 1e-9:
-            raise ValueError("mixture weights must sum to 1")
-        if np.any(self.variances < self.var_floor - 1e-15):
-            raise ValueError("component variance below the floor")
-
-
-def gmm_predictive_logdensity(model: GmmModel, r) -> float:
-    """log sum_j w_j N(r | mu_j, v_j I)."""
-    r = np.asarray(r, dtype=float)
-    d2 = ((model.means - r) ** 2).sum(axis=1)
-    logs = (np.log(model.weights) - np.log(2.0 * np.pi * model.variances)
-            - d2 / (2.0 * model.variances))
-    m = float(np.max(logs))
-    return m + math.log(float(np.sum(np.exp(logs - m))))
 
 
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -79,19 +50,28 @@ def _loglik_matrix(x: np.ndarray, model: GmmModel) -> np.ndarray:
             - d2 / (2.0 * model.variances)[None, :])
 
 
+def gmm_predictive_logdensity(model: GmmModel, r) -> float:
+    """log sum_j w_j N(r | mu_j, v_j I)."""
+    logs = _loglik_matrix(np.asarray(r, dtype=float)[None, :], model)[0]
+    m = float(np.max(logs))
+    return m + math.log(float(np.sum(np.exp(logs - m))))
+
+
 def fit_isotropic_gmm(x, k: int, var_floor: float,
                       init: GmmModel | None = None, seed: int = 0,
                       tol: float = 1e-6, max_iter: int = 200):
     """EM fit of a k-component isotropic mixture on the rows of ``x``.
 
-    Returns (model, per-iteration log likelihoods). ``init`` warm-starts
-    from a previous fit when its component count matches; otherwise
-    k-means++ seeding with the given seed.
+    Returns (model, per-iteration log likelihoods). ``k`` is clamped to the
+    number of rows. ``init`` warm-starts from a previous fit when its
+    component count matches; otherwise k-means++ seeding with the given seed.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
     if n == 0:
         raise ValueError("cannot fit a mixture on no data")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, n)
     if init is not None and len(init.weights) == k:
         model = GmmModel(init.weights.copy(), init.means.copy(),
@@ -123,18 +103,3 @@ def fit_isotropic_gmm(x, k: int, var_floor: float,
         prev_ll = ll
     return model, history
 
-
-def gmm_fit_stream(locations, k_schedule, sigma2_min: float, seed: int = 0):
-    """Fit one mixture per prefix: at step n, k_schedule[n-1] components on
-    locations 1..n (k clamped to n). Warm-started from the previous step."""
-    locations = np.asarray(locations, dtype=float)
-    if len(k_schedule) > len(locations):
-        raise ValueError("k_schedule longer than the location stream")
-    models = []
-    prev = None
-    for n, k in enumerate(k_schedule, start=1):
-        model, _ = fit_isotropic_gmm(locations[:n], int(k), sigma2_min,
-                                     init=prev, seed=seed)
-        models.append(model)
-        prev = model
-    return models

@@ -139,7 +139,6 @@ def cmd_generate(args) -> int:
     cfg = SynthConfig(hyper=hyper, n_posts=args.n, n_words=conf["n_words"],
                       sigma0=sigma0, alpha0=args.alpha0,
                       unit_square=not args.no_unit_square, seed=conf["seed"])
-    cfg.validate()
     synth = generate(cfg)
     write_synthetic(synth, args.out, args.truth)
     print(f"wrote {len(synth.posts)} posts to {args.out}; "

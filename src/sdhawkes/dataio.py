@@ -108,18 +108,15 @@ def _row_to_post(row: dict) -> RawPost:
     raise ValueError("needs either lat/lon or x/y")
 
 
-def load_posts(path, fmt: str | None = None) -> tuple[list[RawPost], list[str]]:
-    """Read a post file, sorted by time (stable). Returns (posts, issues);
-    malformed rows are skipped and reported with their line numbers."""
+def load_posts(path) -> tuple[list[RawPost], list[str]]:
+    """Read a post file, sorted by time (stable): CSV if the suffix is
+    ``.csv``, JSON lines otherwise. Returns (posts, issues); malformed rows
+    are skipped and reported with their line numbers."""
     path = Path(path)
-    if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    if fmt not in ("jsonl", "csv"):
-        raise ValueError(f"unknown format {fmt!r}")
     posts: list[RawPost] = []
     issues: list[str] = []
 
-    if fmt == "jsonl":
+    if path.suffix.lower() != ".csv":
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
@@ -157,7 +154,6 @@ class PreprocessResult:
     vocab: list[str]
     projection: Projection | None = None
     n_dropped_empty: int = 0
-    t0_days: float = 0.0
     source_indices: list[int] = field(default_factory=list)
 
     @property
@@ -197,8 +193,6 @@ def preprocess(raws: list[RawPost], top_k: int = 200) -> PreprocessResult:
         lon0 = sum(r.lon for r in raws) / len(raws)
         projection = Projection(lat0=lat0, lon0=lon0)
         t0 = min(r.t_days for r in raws)
-    else:
-        t0 = 0.0
 
     posts: list[GeoPost] = []
     source_indices: list[int] = []
@@ -219,7 +213,7 @@ def preprocess(raws: list[RawPost], top_k: int = 200) -> PreprocessResult:
     if not posts:
         raise ValueError("preprocessing removed every post")
     return PreprocessResult(posts=posts, vocab=vocab, projection=projection,
-                            n_dropped_empty=n_dropped, t0_days=t0,
+                            n_dropped_empty=n_dropped,
                             source_indices=source_indices)
 
 

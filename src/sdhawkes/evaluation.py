@@ -26,7 +26,6 @@ __all__ = [
     "spatial_gof",
     "perplexity",
     "SmcPredictor",
-    "UniformPredictor",
     "GmmStreamPredictor",
     "tune_dhp_lambda0",
     "alpha_precision_records",
@@ -40,12 +39,11 @@ SIZE_FLOORS = {"loose": 7, "tight": 11}
 # ----------------------------------------------------------------------
 # partition and parameter metrics
 
-def nmi(labels_true, labels_pred, average: str = "arithmetic") -> float:
+def nmi(labels_true, labels_pred) -> float:
     """Normalized mutual information between two labelings of the same posts.
 
-    Normalizer is the arithmetic mean of the two entropies by default
-    ("geometric" and "max" are also accepted). Equal partitions give 1 up to
-    relabeling; independent ones give 0.
+    Normalizer is the arithmetic mean of the two entropies. Equal partitions
+    give 1 up to relabeling; independent ones give 0.
     """
     a = np.asarray(labels_true)
     b = np.asarray(labels_pred)
@@ -66,16 +64,7 @@ def nmi(labels_true, labels_pred, average: str = "arithmetic") -> float:
     h_p = float(-np.sum(pj[pj > 0] * np.log(pj[pj > 0])))
     if h_t == 0.0 and h_p == 0.0:
         return 1.0
-    if average == "arithmetic":
-        norm = 0.5 * (h_t + h_p)
-    elif average == "geometric":
-        norm = math.sqrt(h_t * h_p)
-    elif average == "max":
-        norm = max(h_t, h_p)
-    else:
-        raise ValueError(f"unknown average {average!r}")
-    if norm == 0.0:
-        return 0.0
+    norm = 0.5 * (h_t + h_p)
     return min(1.0, max(0.0, mi / norm))
 
 
@@ -235,26 +224,11 @@ class SmcPredictor:
         self.system.step(post)
 
 
-class UniformPredictor:
-    """Control model: unit spatial density, uniform 1/V per word."""
-
-    def __init__(self, vocab_size: int):
-        self.vocab_size = vocab_size
-
-    def spatial_logdensity(self, post: GeoPost) -> float:
-        return 0.0
-
-    def content_logdensity(self, post: GeoPost) -> float:
-        return -len(post.words) * math.log(self.vocab_size)
-
-    def update(self, post: GeoPost) -> None:
-        pass
-
-
 class GmmStreamPredictor:
     """Streaming isotropic mixture refit on the location prefix at each
-    evaluation, with the component count read from ``k_schedule`` at the
-    current prefix length (clamped to the prefix size)."""
+    evaluation, warm-started from the previous fit, with the component count
+    read from ``k_schedule`` at the current prefix length (clamped to the
+    prefix size by ``fit_isotropic_gmm``)."""
 
     def __init__(self, k_schedule, sigma2_min: float, seed: int = 0):
         self.k_schedule = list(k_schedule)
@@ -267,11 +241,9 @@ class GmmStreamPredictor:
         n = len(self.locations)
         if n == 0:
             raise ValueError("no locations observed yet")
-        k = min(max(1, int(self.k_schedule[min(n - 1, len(self.k_schedule) - 1)])), n)
-        init = self._model if (self._model is not None
-                               and len(self._model.weights) == k) else None
+        k = int(self.k_schedule[min(n - 1, len(self.k_schedule) - 1)])
         self._model, _ = fit_isotropic_gmm(np.asarray(self.locations), k,
-                                           self.sigma2_min, init=init,
+                                           self.sigma2_min, init=self._model,
                                            seed=self.seed)
         return gmm_predictive_logdensity(self._model, (post.x, post.y))
 

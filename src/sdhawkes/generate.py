@@ -2,9 +2,11 @@
 
 Event times come from the self-exciting process by thinning: between events
 every exponential kernel decays monotonically, so the intensity just after
-the last event dominates until the next one and is a valid bound. Each event
-then picks a new pattern with probability lambda0/lambda(t) or an existing
-pattern proportionally to its intensity, and finally emits words and a
+the last event dominates until the next one and is a valid bound. The
+intensity lambda(t) at which a candidate is accepted is computed once: it is
+recorded in ``SynthResult.intensities`` and reused to pick the event's
+pattern, new with probability lambda0/lambda(t) or an existing one
+proportionally to its intensity. The event finally emits words and a
 location from the pattern's own parameters.
 """
 
@@ -34,12 +36,6 @@ class PatternParams:
     center: tuple[float, float]
     sigma: float
     kernel: TimeKernel
-
-    def validate(self) -> None:
-        if abs(float(self.theta.sum()) - 1.0) > 1e-12:
-            raise ValueError("theta must sum to 1")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
 
 
 @dataclass(slots=True)
@@ -119,16 +115,18 @@ class GenerativeState:
             del self.live[k]
 
 
-def sample_event_time(state: GenerativeState, hyper: Hyperparams,
-                      rng: np.random.Generator) -> float:
-    """Next event time by thinning with the left-endpoint intensity bound."""
+def sample_event_time(state: GenerativeState,
+                      rng: np.random.Generator) -> tuple[float, float]:
+    """Next event time by thinning with the left-endpoint intensity bound.
+
+    Returns (t, lambda(t)), the intensity the candidate was accepted at."""
     t = state.t
     bound = state.total_intensity(t)
     while True:
         t += rng.exponential(1.0 / bound)
         lam = state.total_intensity(t)
         if rng.uniform(0.0, bound) <= lam:
-            return t
+            return t, lam
         bound = lam  # decaying intensity: re-tighten between events
 
 
@@ -150,10 +148,10 @@ def _draw_pattern_params(config: SynthConfig, rng: np.random.Generator) -> Patte
                          kernel=TimeKernel(alpha, tau))
 
 
-def sample_assignment(state: GenerativeState, t: float, config: SynthConfig,
-                      rng: np.random.Generator) -> int:
-    """Pick the pattern for the event at ``t``; may create a new one."""
-    lam = state.total_intensity(t)
+def sample_assignment(state: GenerativeState, t: float, lam: float,
+                      config: SynthConfig, rng: np.random.Generator) -> int:
+    """Pick the pattern for the event at ``t``, given the total intensity
+    ``lam`` = lambda(t); may create a new one."""
     u = rng.uniform(0.0, lam)
     acc = state.hyper.lambda0
     if u > acc:
@@ -195,9 +193,9 @@ def generate(config: SynthConfig) -> SynthResult:
     posts: list[GeoPost] = []
     intensities: list[float] = []
     for _ in range(config.n_posts):
-        t = sample_event_time(state, config.hyper, rng)
-        intensities.append(state.total_intensity(t))
-        label = sample_assignment(state, t, config, rng)
+        t, lam = sample_event_time(state, rng)
+        intensities.append(lam)
+        label = sample_assignment(state, t, lam, config, rng)
         posts.append(emit_post(state.params[label], t, config, rng, label=label))
         state.live[label].add_event(t)
         state.t = t

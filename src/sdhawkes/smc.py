@@ -128,9 +128,8 @@ class ParticleSystem:
             patterns = particle.patterns
             if prune is not None:
                 for label, alpha, tau, tau_idx in prune:
-                    stats = patterns.pop(label)
-                    if stats.owner is not particle.token:
-                        stats = stats.copy(owner=particle.token)
+                    stats = particle.writable(label)
+                    del patterns[label]
                     stats.alpha = alpha
                     stats.tau = tau
                     stats.tau_idx = tau_idx

@@ -285,8 +285,9 @@ def enumerate_posterior(posts, hyper, alpha, tau, spatial=True):
     return {seq: math.exp(s - mx) / total for seq, s in results.items()}
 
 
-def nmi_contingency(labels_a, labels_b, average="arithmetic") -> float:
-    """NMI from the raw contingency table; reference for the fast version."""
+def nmi_contingency(labels_a, labels_b) -> float:
+    """NMI (arithmetic-mean normalizer) from the raw contingency table;
+    reference for the fast version."""
     a = np.asarray(labels_a)
     b = np.asarray(labels_b)
     n = len(a)
@@ -307,10 +308,22 @@ def nmi_contingency(labels_a, labels_b, average="arithmetic") -> float:
     h_b = -sum(p * math.log(p) for p in pj if p > 0)
     if h_a == 0.0 and h_b == 0.0:
         return 1.0
-    if average == "arithmetic":
-        norm = 0.5 * (h_a + h_b)
-    elif average == "geometric":
-        norm = math.sqrt(h_a * h_b)
-    else:
-        norm = max(h_a, h_b)
-    return mi / norm if norm > 0 else 0.0
+    norm = 0.5 * (h_a + h_b)
+    return mi / norm
+
+
+class UniformPredictor:
+    """Control model for the goodness-of-fit scans: unit spatial density,
+    uniform 1/V per word."""
+
+    def __init__(self, vocab_size: int):
+        self.vocab_size = vocab_size
+
+    def spatial_logdensity(self, post) -> float:
+        return 0.0
+
+    def content_logdensity(self, post) -> float:
+        return -len(post.words) * math.log(self.vocab_size)
+
+    def update(self, post) -> None:
+        pass

@@ -15,7 +15,6 @@ from scipy import stats as sps
 
 from sdhawkes.evaluation import (
     SmcPredictor,
-    UniformPredictor,
     alpha_precision_records,
     dataset_spatial_scale,
     location_prediction_protocol,
@@ -30,6 +29,7 @@ from sdhawkes.smc import EngineConfig, ParticleSystem
 from sdhawkes.types import Hyperparams
 
 from oracles import (
+    UniformPredictor,
     alpha_argmax_grid,
     build_stats,
     enumerate_posterior,

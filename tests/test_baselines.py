@@ -7,13 +7,12 @@ from scipy.integrate import dblquad
 from sdhawkes.baselines import (
     GmmModel,
     fit_isotropic_gmm,
-    gmm_fit_stream,
     gmm_predictive_logdensity,
-    run_dhp,
 )
+from sdhawkes.evaluation import GmmStreamPredictor
 from sdhawkes.generate import SynthConfig, generate
 from sdhawkes.smc import EngineConfig, ParticleSystem
-from sdhawkes.types import Hyperparams
+from sdhawkes.types import GeoPost, Hyperparams
 
 
 def base_hyper(**kw):
@@ -23,16 +22,9 @@ def base_hyper(**kw):
     return Hyperparams(**defaults)
 
 
-def test_run_dhp_equals_spatial_off_engine():
-    hyper = base_hyper()
-    posts = generate(SynthConfig(hyper=hyper, n_posts=150, seed=21,
-                                 sigma0=0.05)).posts
-    via_baseline = run_dhp(posts, hyper, EngineConfig(seed=21))
-    system = ParticleSystem(hyper, EngineConfig(seed=21, spatial=False))
-    system.run(posts)
-    via_engine = system.map_estimate()
-    assert via_baseline.assignments == via_engine.assignments
-    assert via_baseline.weights == via_engine.weights
+def run_spatial_off(posts, hyper, seed):
+    system = ParticleSystem(hyper, EngineConfig(seed=seed, spatial=False))
+    return system.run(posts).map_estimate()
 
 
 def test_dhp_single_word_vocab_reduces_to_prior():
@@ -41,7 +33,7 @@ def test_dhp_single_word_vocab_reduces_to_prior():
     hyper = base_hyper(vocab_size=1, n_particles=1)
     posts = generate(SynthConfig(hyper=base_hyper(vocab_size=1), n_posts=60,
                                  n_words=1, seed=22, sigma0=0.1)).posts
-    result = run_dhp(posts, hyper, EngineConfig(seed=22))
+    result = run_spatial_off(posts, hyper, seed=22)
     assert len(result.assignments) == 60
 
 
@@ -51,8 +43,8 @@ def test_dhp_ignores_location():
     posts = generate(cfg).posts
     moved = [type(p)(t=p.t, words=p.words, x=p.x + 100.0, y=p.y - 50.0,
                      label_true=p.label_true) for p in posts]
-    a = run_dhp(posts, hyper, EngineConfig(seed=23))
-    b = run_dhp(moved, hyper, EngineConfig(seed=23))
+    a = run_spatial_off(posts, hyper, seed=23)
+    b = run_spatial_off(moved, hyper, seed=23)
     assert a.assignments == b.assignments
 
 
@@ -123,7 +115,7 @@ def test_gmm_floor_holds_at_every_iteration():
         model, _ = fit_isotropic_gmm(x, 2, floor, init=model, max_iter=1,
                                      seed=9)
         assert np.all(model.variances >= floor - 1e-15)
-        model.validate()
+        assert abs(float(model.weights.sum()) - 1.0) <= 1e-9
 
 
 def test_gmm_em_loglik_nondecreasing():
@@ -165,20 +157,34 @@ def test_gmm_mixture_dominates_components():
         assert mix >= model.weights[j] * comp - 1e-12
 
 
+def stream_models(locs, k_schedule, sigma2_min):
+    """The mixture a GmmStreamPredictor fits on each location prefix."""
+    predictor = GmmStreamPredictor(k_schedule, sigma2_min)
+    query = GeoPost(t=0.0, words=[0], x=0.0, y=0.0)
+    models = []
+    for x, y in locs[:len(k_schedule)]:
+        predictor.update(GeoPost(t=0.0, words=[0], x=float(x), y=float(y)))
+        predictor.spatial_logdensity(query)
+        models.append(predictor._model)
+    return models
+
+
 def test_gmm_fit_stream_clamps_k():
     rng = np.random.default_rng(6)
     locs = rng.normal(0, 1, size=(10, 2))
-    models = gmm_fit_stream(locs, k_schedule=[3, 3, 3, 4], sigma2_min=1e-4)
+    models = stream_models(locs, k_schedule=[3, 3, 3, 4], sigma2_min=1e-4)
     assert len(models[0].weights) == 1
     assert len(models[1].weights) == 2
     assert len(models[2].weights) == 3
     assert len(models[3].weights) == 4
+    with pytest.raises(ValueError):
+        fit_isotropic_gmm(locs, 0, 1e-4)
 
 
 def test_gmm_fit_stream_warm_start_floor():
     rng = np.random.default_rng(7)
     locs = rng.normal(0, 0.3, size=(40, 2))
-    models = gmm_fit_stream(locs, k_schedule=[2] * 40, sigma2_min=0.05)
+    models = stream_models(locs, k_schedule=[2] * 40, sigma2_min=0.05)
     for m in models:
         assert np.all(m.variances >= 0.05 - 1e-12)
         assert abs(m.weights.sum() - 1.0) < 1e-9

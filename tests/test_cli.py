@@ -76,15 +76,21 @@ def test_evaluate_nmi_perfect_labels(tmp_path, capsys):
 
 
 def test_infer_spatial_off_matches_dhp(tmp_path):
-    posts, _ = gen_args(tmp_path, n=90, seed=8)
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    assert run_cli("infer", "--input", posts, "--out-dir", out_a,
+    # --spatial-off is the content+time model: the engine with the spatial
+    # factor off, on the CLI's default hyperparameters
+    posts_path, _ = gen_args(tmp_path, n=90, seed=8)
+    out_dir = tmp_path / "run"
+    assert run_cli("infer", "--input", posts_path, "--out-dir", out_dir,
                    "--seed", 8, "--top-k", 0, "--spatial-off") == 0
-    assert run_cli("infer", "--input", posts, "--out-dir", out_b,
-                   "--seed", 8, "--top-k", 0, "--spatial-off") == 0
-    assert read_assignments(out_a / "assignments.csv") == \
-        read_assignments(out_b / "assignments.csv")
+    prep = preprocess(load_posts(posts_path)[0], top_k=0)
+    hyper = Hyperparams(vocab_size=prep.vocab_size)
+    expected = {}
+    for spatial in (False, True):
+        system = ParticleSystem(hyper, EngineConfig(seed=8, spatial=spatial))
+        expected[spatial] = system.run(prep.posts).map_estimate().assignments
+    got = read_assignments(out_dir / "assignments.csv")
+    assert got == expected[False]
+    assert got != expected[True]
 
 
 def test_infer_resume_matches_straight_run(tmp_path):

@@ -7,7 +7,6 @@ from sdhawkes.evaluation import (
     GmmStreamPredictor,
     PredictionRecord,
     SmcPredictor,
-    UniformPredictor,
     alpha_precision,
     alpha_precision_records,
     dataset_spatial_scale,
@@ -22,7 +21,7 @@ from sdhawkes.generate import SynthConfig, generate
 from sdhawkes.smc import EngineConfig, ParticleSystem
 from sdhawkes.types import GeoPost, Hyperparams
 
-from oracles import nmi_contingency
+from oracles import UniformPredictor, nmi_contingency
 
 
 def base_hyper(**kw):
@@ -71,17 +70,6 @@ def test_nmi_empty_errors():
         nmi([], [])
     with pytest.raises(ValueError):
         nmi([0, 1], [0])
-
-
-def test_nmi_normalization_variants():
-    a = [0, 0, 1, 1, 1, 2]
-    b = [0, 1, 1, 1, 2, 2]
-    arith = nmi(a, b, average="arithmetic")
-    geom = nmi(a, b, average="geometric")
-    mx = nmi(a, b, average="max")
-    assert mx <= geom <= arith or mx <= arith  # max-normalized is smallest
-    with pytest.raises(ValueError):
-        nmi(a, b, average="harmonic")
 
 
 # ----------------------------------------------------------------------
@@ -295,10 +283,10 @@ def test_tune_dhp_lambda0_matches_pattern_count():
     target = 30
     lam = tune_dhp_lambda0(posts, hyper, target, EngineConfig(seed=10), iters=8)
     from dataclasses import replace
-    from sdhawkes.baselines import run_dhp
 
-    result = run_dhp(posts, replace(hyper, lambda0=lam), EngineConfig(seed=10))
-    got = len(result.summaries)
+    system = ParticleSystem(replace(hyper, lambda0=lam),
+                            EngineConfig(seed=10, spatial=False))
+    got = len(system.run(posts).map_estimate().summaries)
     assert abs(got - target) <= max(3, int(0.2 * target))
 
 

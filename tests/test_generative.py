@@ -169,7 +169,8 @@ def test_new_pattern_frequency_monte_carlo():
         live.add_event(0.5)
         state.live[0] = live
         state.n_patterns = 1
-        if sample_assignment(state, t_query, cfg, rng) == 1:
+        lam = state.total_intensity(t_query)
+        if sample_assignment(state, t_query, lam, cfg, rng) == 1:
             new_count += 1
     lam_pattern = 2.0 * (math.exp(-1.0) + math.exp(-0.5))
     p_new = 4.0 / (4.0 + lam_pattern)

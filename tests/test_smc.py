@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -616,3 +617,65 @@ def test_pruning_preserves_labels_and_results():
     # at this scale nothing decays below 1e-12 * lambda0 relative weight: the
     # two runs should agree on the labeling
     assert res.assignments == exact.map_estimate().assignments
+
+
+# ----------------------------------------------------------------------
+# seeded edge cases
+
+
+def edge_run(posts, prune=0.0, **hyper_kw):
+    hyper = base_hyper(psi_tau=(0.25, 1.0), n_particles=4)
+    system = ParticleSystem(replace(hyper, **hyper_kw),
+                            EngineConfig(seed=3, prune_threshold=prune))
+    return system.run(posts)
+
+
+def edge_stream(n_posts):
+    return make_stream(n_posts, seed=3, hyper=base_hyper(psi_tau=(0.25, 1.0)),
+                       sigma0=0.05)
+
+
+def moved(posts, t=None, dx=0.0, dy=0.0):
+    return [GeoPost(t=p.t if t is None else t(i, p), words=p.words,
+                    x=p.x + dx, y=p.y + dy) for i, p in enumerate(posts)]
+
+
+@pytest.mark.parametrize("prune", [0.0, 1e-12], ids=["exact", "pruned"])
+@pytest.mark.parametrize("tie", [
+    lambda i, p: 1.0,                 # every post at one instant
+    lambda i, p: float(i // 2),       # pairs share a timestamp
+], ids=["one-instant", "pairs"])
+def test_equal_timestamps_keep_weights_finite(tie, prune):
+    system = edge_run(moved(edge_stream(200), t=tie), prune=prune)
+    assert np.all(np.isfinite(system.log_weights))
+    for alpha, tau in system.map_estimate().kernels.values():
+        assert math.isfinite(alpha) and math.isfinite(tau)
+
+
+def test_huge_gaps_start_a_new_pattern_per_post():
+    posts = moved(edge_stream(100), t=lambda i, p: i * 1e6)
+    system = edge_run(posts)
+    assert np.all(np.isfinite(system.log_weights))
+    for alpha, tau in system.map_estimate().kernels.values():
+        assert math.isfinite(alpha) and math.isfinite(tau)
+    for particle in system.particles:
+        assert particle.assignments() == list(range(100))
+
+
+def test_far_from_origin_coordinates_change_nothing():
+    posts = edge_stream(200)
+    near = edge_run(posts)
+    far = edge_run(moved(posts, dx=1e7, dy=-1e7))
+    assert far.map_estimate().assignments == near.map_estimate().assignments
+    assert np.max(np.abs(far.log_weights - near.log_weights)) < 1e-5
+
+
+@pytest.mark.parametrize("n_particles, kappa, resamples", [
+    (1, 1.0, False),   # a single particle has nothing to resample
+    (4, 1.0, True),    # ESS < N after almost every post
+])
+def test_resampling_edges(n_particles, kappa, resamples):
+    system = edge_run(edge_stream(300), n_particles=n_particles,
+                      kappa_thresh=kappa)
+    assert (system.n_resamples > 0) == resamples
+    assert np.all(np.isfinite(system.log_weights))
