@@ -170,6 +170,8 @@ def preprocess(raws: list[RawPost], top_k: int = 200) -> PreprocessResult:
     dropped. Geographic corpora are projected to planar meters about the
     centroid, with times rebased to days from the first post.
     """
+    if top_k < 0:
+        raise ValueError(f"top_k must be >= 0, got {top_k}")
     if not raws:
         raise ValueError("empty corpus")
     tokenized = [r.text.lower().split() for r in raws]
@@ -231,6 +233,9 @@ def export_results(result: ClusteringResult, out_dir,
     kernel, time span and the top-10 words. trace_<label>.csv: (t, lambda_s)
     sampled over the pattern's lifetime plus a three-tau tail.
     """
+    unknown = [label for label in trace_labels if label not in result.patterns]
+    if unknown:
+        raise ValueError(f"no pattern has trace label(s) {unknown}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}

@@ -258,6 +258,9 @@ class GmmStreamPredictor:
 # goodness of fit
 
 def _gof_scan(posts, predictor, burn_in, window, kind):
+    if burn_in < 0 or window < 1:
+        raise ValueError(f"goodness-of-fit needs burn_in >= 0 and window >= 1, "
+                         f"got {burn_in} and {window}")
     if len(posts) < burn_in + window:
         raise ValueError(
             f"goodness-of-fit needs at least {burn_in + window} posts, "

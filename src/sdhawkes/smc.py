@@ -14,8 +14,8 @@ call it.
 Particles use copy-on-write state: pattern statistics are shared between
 resampled offspring until one of them mutates, assignment histories are
 shared cons chains, and (optionally) patterns whose possible intensity
-contribution has decayed to nothing are retired to a shared archive. This
-keeps the per-post cost proportional to the number of *live* patterns.
+contribution has decayed to nothing move, uncopied, to a shared archive.
+This keeps the per-post cost proportional to the number of *live* patterns.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ __all__ = [
     "incremental_weight",
 ]
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass(slots=True)
@@ -126,14 +126,10 @@ class ParticleSystem:
                 zip(self.particles, scored)):
             rng = self.rngs[p_idx]
             patterns = particle.patterns
-            if prune is not None:
-                for label, alpha, tau, tau_idx in prune:
-                    stats = particle.writable(label)
-                    del patterns[label]
-                    stats.alpha = alpha
-                    stats.tau = tau
-                    stats.tau_idx = tau_idx
-                    particle.archive = (label, stats, particle.archive)
+            # a retired pattern is never written again, so the archive may
+            # hold the (possibly shared) object itself
+            for label in prune:
+                particle.archive = (label, patterns.pop(label), particle.archive, t_prev)
 
             m = max(scores)
             exps = [exp(s - m) for s in scores]
@@ -227,6 +223,8 @@ class ParticleSystem:
         index). Pooling matters: an individual particle's weight is a
         path-wise evidence product, which does not rank hypotheses by
         posterior mass once particle counts grow.
+        With refitting on, each kernel is refit at the time the pattern was
+        last scored: the latest post if live, its retirement time if pruned.
         """
         if self.n < 1:
             raise ValueError("no posts processed")
@@ -240,13 +238,20 @@ class ParticleSystem:
         best_key = max(mass, key=lambda k: (mass[k], -first_idx[k]))
         best = first_idx[best_key]
         particle = self.particles[best]
-        patterns = particle.all_patterns()
+        patterns = dict(particle.patterns)
+        t_fit = dict.fromkeys(patterns, self.t_last)
+        node = particle.archive
+        while node is not None:
+            label, stats, node, t_retired = node
+            patterns[label] = stats
+            t_fit[label] = t_retired
+        patterns = dict(sorted(patterns.items()))
+        refit = self.config.fixed_kernel is None and self.config.refit_all
         kernels: dict[int, tuple[float, float]] = {}
         summaries = []
         for label, stats in patterns.items():
-            if (self.config.fixed_kernel is None and self.config.refit_all
-                    and stats.n_posts >= 2 and label in particle.patterns):
-                alpha, tau, _ = fit_kernel(stats, self.t_last, self.hyper)
+            if refit and stats.n_posts >= 2:
+                alpha, tau, _ = fit_kernel(stats, t_fit[label], self.hyper)
             else:
                 alpha, tau = stats.alpha, stats.tau
             kernels[label] = (alpha, tau)
@@ -266,21 +271,43 @@ class ParticleSystem:
     # checkpointing
 
     def save_checkpoint(self, path) -> None:
+        # each distinct pattern object is one "stats" row that particles
+        # refer to by index, so loading restores copy-on-write sharing
+        rows: dict[int, int] = {}  # id(stats) -> row index
+        stats_rows: list[dict] = []
+
+        def row(stats: PatternStats) -> int:
+            if id(stats) not in rows:
+                rows[id(stats)] = len(stats_rows)
+                stats_rows.append({name: getattr(stats, name) for name in _STATS_STATE})
+            return rows[id(stats)]
+
+        particles = []
+        for particle in self.particles:
+            archive = []
+            node = particle.archive
+            while node is not None:
+                label, stats, node, t_retired = node
+                archive.append([label, row(stats), t_retired])
+            particles.append({
+                "S": particle.S,
+                "assignments": particle.assignments(),
+                "patterns": [[label, row(stats)]
+                             for label, stats in particle.patterns.items()],
+                "archive": archive,
+            })
         payload = {
             "version": CHECKPOINT_VERSION,
             "n": self.n,
             "t_last": self.t_last,
             "n_resamples": self.n_resamples,
-            "hyper": {**asdict(self.hyper), "psi_tau": list(self.hyper.psi_tau)},
-            "config": {
-                **asdict(self.config),
-                "fixed_kernel": (list(self.config.fixed_kernel)
-                                 if self.config.fixed_kernel else None),
-            },
+            "hyper": asdict(self.hyper),
+            "config": asdict(self.config),
             "log_weights": [float(v) for v in self.log_weights],
-            "resample_rng": _rng_state(self.resample_rng),
-            "rngs": [_rng_state(r) for r in self.rngs],
-            "particles": [self._particle_payload(p) for p in self.particles],
+            "resample_rng": self.resample_rng.bit_generator.state,
+            "rngs": [r.bit_generator.state for r in self.rngs],
+            "stats": stats_rows,
+            "particles": particles,
         }
         # write a sibling file, then rename over the target, so a crash
         # mid-write leaves the previous checkpoint intact
@@ -293,21 +320,6 @@ class ParticleSystem:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
             raise
-
-    def _particle_payload(self, particle: Particle) -> dict:
-        archive = []
-        node = particle.archive
-        while node is not None:
-            label, stats, node = node
-            archive.append([label, _stats_payload(stats)])
-        archive.reverse()
-        return {
-            "S": particle.S,
-            "assignments": particle.assignments(),
-            "patterns": [[label, _stats_payload(stats)]
-                         for label, stats in particle.patterns.items()],
-            "archive": archive,
-        }
 
     @classmethod
     def load_checkpoint(cls, path) -> "ParticleSystem":
@@ -324,14 +336,16 @@ class ParticleSystem:
         system = cls(hyper, EngineConfig(**config_d))
         system.n = payload["n"]
         system.t_last = payload["t_last"]
-        system.n_resamples = payload.get("n_resamples", 0)
+        system.n_resamples = payload["n_resamples"]
         system.log_weights = np.array(payload["log_weights"], dtype=float)
         w = np.exp(system.log_weights)
         system.weights = w / w.sum()
-        _set_rng_state(system.resample_rng, payload["resample_rng"])
+        system.resample_rng.bit_generator.state = payload["resample_rng"]
         for rng, state in zip(system.rngs, payload["rngs"]):
-            _set_rng_state(rng, state)
-        system.particles = [_particle_from_payload(p) for p in payload["particles"]]
+            rng.bit_generator.state = state
+        # unowned, so a particle's first write copies, as after resampling
+        stats = [_stats_from_payload(row) for row in payload["stats"]]
+        system.particles = [_particle_from_payload(p, stats) for p in payload["particles"]]
         return system
 
 
@@ -387,9 +401,9 @@ def score_candidates(particles: list[Particle], post: GeoPost, hyper: Hyperparam
 
     Returns, for each particle, (labels, scores, lam_t, big_lambda, prune):
     the scored labels, their log scores with "new" last, lambda(t), the
-    compensator of lambda over [t_prev, t], and the (label, alpha, tau,
-    tau_idx) of each pattern to prune (None if none). "New" is the same
-    for every particle, so it is scored once, with the first particle.
+    compensator of lambda over [t_prev, t], and the labels of the patterns
+    to prune. "New" is the same for every particle, so it is scored once,
+    with the first particle.
     """
     t = post.t
     dt = t - t_prev
@@ -415,7 +429,7 @@ def score_candidates(particles: list[Particle], post: GeoPost, hyper: Hyperparam
         scores = []
         lam_t = lam0
         big_lambda = lam0 * dt
-        prune = None
+        prune = []
         for label, stats in chain(particle.patterns.items(), new_candidate):
             if label is None:
                 ls = 0.0
@@ -428,9 +442,7 @@ def score_candidates(particles: list[Particle], post: GeoPost, hyper: Hyperparam
                     tau_idx = stats.tau_idx
                 if (prune_abs > 0.0
                         and alpha * stats.n_posts * exp(-(t - stats.t_ref) / tau) < prune_abs):
-                    if prune is None:
-                        prune = []
-                    prune.append((label, alpha, tau, tau_idx))
+                    prune.append(label)
                     continue
                 s_prev = stats.decay[tau_idx] * exp(-(t_prev - stats.t_ref) / tau)
                 if tau != e_dt_tau:
@@ -523,26 +535,14 @@ def incremental_weight(particle: Particle, post: GeoPost, log_q: float,
 # ----------------------------------------------------------------------
 # checkpoint serialization helpers
 
-def _rng_state(rng: np.random.Generator) -> dict:
-    return json.loads(json.dumps(rng.bit_generator.state))
-
-
-def _set_rng_state(rng: np.random.Generator, state: dict) -> None:
-    rng.bit_generator.state = state
-
-
 # a pattern's checkpointed state: every PatternStats field but the
 # copy-on-write token
 _STATS_STATE = tuple(name for name in PatternStats.__slots__ if name != "owner")
 
 
-def _stats_payload(stats: PatternStats) -> dict:
-    return {name: getattr(stats, name) for name in _STATS_STATE}
-
-
-def _stats_from_payload(payload: dict, owner: object) -> PatternStats:
+def _stats_from_payload(payload: dict) -> PatternStats:
     stats = PatternStats.__new__(PatternStats)
-    stats.owner = owner
+    stats.owner = None
     for name in _STATS_STATE:
         setattr(stats, name, payload[name])
     # JSON object keys are strings; word ids are ints
@@ -550,14 +550,13 @@ def _stats_from_payload(payload: dict, owner: object) -> PatternStats:
     return stats
 
 
-def _particle_from_payload(payload: dict) -> Particle:
+def _particle_from_payload(payload: dict, stats: list[PatternStats]) -> Particle:
     particle = Particle()
     particle.S = payload["S"]
     for label in payload["assignments"]:
         particle.record_assignment(label)
-    for label, stats_d in payload["patterns"]:
-        particle.patterns[int(label)] = _stats_from_payload(stats_d, particle.token)
-    for label, stats_d in payload["archive"]:
-        particle.archive = (int(label), _stats_from_payload(stats_d, particle.token),
-                            particle.archive)
+    for label, row in payload["patterns"]:
+        particle.patterns[label] = stats[row]
+    for label, row, t_retired in reversed(payload["archive"]):
+        particle.archive = (label, stats[row], particle.archive, t_retired)
     return particle

@@ -112,8 +112,9 @@ class PatternStats:
     summaries read it, but ``copy`` copies it, so a copy-on-write copy costs
     O(pattern size).
 
-    ``alpha``/``tau`` hold the kernel as of the last refit of this pattern;
-    ``owner`` is a copy-on-write token managed by the particle system.
+    ``alpha``/``tau`` hold the kernel as of the last attach (``map_estimate``
+    refits at the last scored time); ``owner`` is a copy-on-write token
+    managed by the particle system, and an unowned object is never written.
     """
 
     __slots__ = (
@@ -221,7 +222,8 @@ class Particle:
     The assignment history is a shared cons chain (label, parent) so cloning
     a particle is O(1) in the history length; ``patterns`` maps label ->
     PatternStats with copy-on-write semantics via the ``token`` object, and
-    ``archive`` is a shared cons chain of patterns retired by pruning.
+    ``archive`` is a shared cons chain (label, stats, next, t_retired) of
+    patterns retired by pruning, each last scored at ``t_retired``.
     """
 
     __slots__ = ("token", "assign_tail", "patterns", "archive", "S")
@@ -261,16 +263,6 @@ class Particle:
             node = node[1]
         out.reverse()
         return out
-
-    def all_patterns(self) -> dict[int, PatternStats]:
-        """Active patterns plus any pruned ones, keyed by label."""
-        out = {}
-        node = self.archive
-        while node is not None:
-            label, stats, node = node
-            out[label] = stats
-        out.update(self.patterns)
-        return dict(sorted(out.items()))
 
 
 @dataclass(slots=True)

@@ -149,6 +149,23 @@ def test_usage_error_exits_one():
     assert run_cli("evaluate", "bogus-metric") == 1
 
 
+def test_infer_rejects_unknown_trace_label(tmp_path):
+    posts, _ = gen_args(tmp_path, n=40, seed=6)
+    out_dir = tmp_path / "run"
+    code = run_cli("infer", "--input", posts, "--out-dir", out_dir,
+                   "--seed", 6, "--top-k", 0, "--particles", 2, "--traces", "0,9999")
+    assert code == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("burn_in, window", [(30, 0), (-5, 100)])
+def test_gof_rejects_bad_scan_bounds(tmp_path, burn_in, window):
+    posts, _ = gen_args(tmp_path, n=120, seed=16)
+    code = run_cli("gof", "--input", posts, "--top-k", 0, "--particles", 2,
+                   "--burn-in", burn_in, "--window", window)
+    assert code == 1
+
+
 def test_gof_refuses_short_dataset(tmp_path):
     posts, _ = gen_args(tmp_path, n=50, seed=15)
     code = run_cli("gof", "--input", posts, "--top-k", 0)

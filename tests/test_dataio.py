@@ -135,6 +135,12 @@ def test_preprocess_top_k_filter():
         assert all(result.vocab[w] != "the" for w in post.words)
 
 
+def test_preprocess_rejects_negative_top_k():
+    raws = [RawPost(t_days=0.0, text="a b c", x=0.0, y=0.0)]
+    with pytest.raises(ValueError, match="top_k"):
+        preprocess(raws, top_k=-3)
+
+
 def test_preprocess_drops_emptied_posts():
     raws = [
         RawPost(t_days=0.0, text="only", x=0.0, y=0.0),

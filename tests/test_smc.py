@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -37,6 +38,19 @@ def make_stream(n_posts, seed=0, hyper=None, **cfg_kw):
     hyper = hyper or base_hyper()
     cfg = SynthConfig(hyper=hyper, n_posts=n_posts, seed=seed, **cfg_kw)
     return generate(cfg).posts
+
+
+def archived(particle):
+    """(label, stats) of each pattern retired to the archive, newest first."""
+    node = particle.archive
+    while node is not None:
+        yield node[0], node[1]
+        node = node[2]
+
+
+def all_patterns(particle):
+    """Live patterns plus the ones retired to the archive, keyed by label."""
+    return dict(sorted({**dict(archived(particle)), **particle.patterns}.items()))
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +271,7 @@ def test_step_contract():
         assert abs(system.weights.sum() - 1.0) < 1e-12
         for p in system.particles:
             assert len(p.assignments()) == i + 1
-            total = sum(s.n_posts for s in p.all_patterns().values())
+            total = sum(s.n_posts for s in all_patterns(p).values())
             assert total == i + 1
             assert all(label < p.S for label in p.assignments())
 
@@ -326,7 +340,7 @@ def test_state_replay_consistency():
                         len(system.cache_taus), 0.0, 1.0, 0)
                 replayed[label].attach(post.t, post.words, post.x, post.y,
                                        system.cache_taus)
-            stored = particle.all_patterns()
+            stored = all_patterns(particle)
             assert set(stored) == set(replayed)
             for label, rep in replayed.items():
                 st = stored[label]
@@ -346,7 +360,7 @@ def test_hidden_location_excluded_from_stats():
     system.run(posts, hidden=hidden)
     for particle in system.particles:
         assign = particle.assignments()
-        stored = particle.all_patterns()
+        stored = all_patterns(particle)
         for label, stats in stored.items():
             n_hidden_members = sum(
                 1 for i, lab in enumerate(assign) if lab == label and i in hidden)
@@ -472,27 +486,35 @@ def test_smc_approaches_enumerated_posterior():
 
 
 def archived_labels(particle):
-    labels = []
-    node = particle.archive
-    while node is not None:
-        labels.append(node[0])
-        node = node[2]
-    return labels
+    return [label for label, _ in archived(particle)]
 
 
 FIVE_TAUS = (1 / 24, 1 / 4, 1.0, 7.0, 30.0)
+FIVE_TAU_HYPER = dict(lambda0=5.0, psi_tau=FIVE_TAUS, vocab_size=30)
+FIVE_TAU_STREAM = dict(n_words=3, sigma0=0.05, alpha0=0.8)
 
 
-@pytest.mark.parametrize("n_posts, split, hyper_kw, prune, stream_kw", [
-    (80, 40, {}, 0.0, {}),
-    (400, 200, dict(lambda0=5.0, psi_tau=FIVE_TAUS, vocab_size=30), 1e-12,
-     dict(n_words=3, sigma0=0.05, alpha0=0.8)),
-], ids=["exact", "pruned-five-tau"])
-def test_checkpoint_resume_bit_for_bit(tmp_path, n_posts, split, hyper_kw, prune,
-                                       stream_kw):
+def pruned_five_tau(n_posts):
+    """A pruned system and a stream on which it resamples and retires."""
+    hyper = base_hyper(n_particles=4, **FIVE_TAU_HYPER)
+    posts = make_stream(n_posts, seed=13, hyper=hyper, **FIVE_TAU_STREAM)
+    return ParticleSystem(hyper, EngineConfig(seed=13, prune_threshold=1e-12)), posts
+
+
+@pytest.mark.parametrize("n_posts, split, hyper_kw, stream_kw, config_kw", [
+    (80, 40, {}, {}, {}),
+    (400, 200, FIVE_TAU_HYPER, FIVE_TAU_STREAM, dict(prune_threshold=1e-12)),
+    (400, 200, FIVE_TAU_HYPER, FIVE_TAU_STREAM,
+     dict(prune_threshold=1e-12, refit_all=False)),
+    (400, 200, FIVE_TAU_HYPER, FIVE_TAU_STREAM,
+     dict(prune_threshold=1e-12, fixed_kernel=(0.8, FIVE_TAUS[0]))),
+], ids=["exact", "pruned-five-tau", "pruned-no-refit", "pruned-fixed-kernel"])
+def test_checkpoint_resume_bit_for_bit(tmp_path, n_posts, split, hyper_kw, stream_kw,
+                                       config_kw):
     hyper = base_hyper(n_particles=4, **hyper_kw)
     posts = make_stream(n_posts, seed=13, hyper=hyper, **stream_kw)
-    config = EngineConfig(seed=13, prune_threshold=prune)
+    config = EngineConfig(seed=13, **config_kw)
+    prune = config.prune_threshold
     straight = ParticleSystem(hyper, config)
     for post in posts:
         straight.step(post)
@@ -515,8 +537,8 @@ def test_checkpoint_resume_bit_for_bit(tmp_path, n_posts, split, hyper_kw, prune
         assert a.assignments() == b.assignments()
         assert a.S == b.S
         assert archived_labels(a) == archived_labels(b)
-        pa = a.all_patterns()
-        pb = b.all_patterns()
+        pa = all_patterns(a)
+        pb = all_patterns(b)
         assert set(pa) == set(pb)
         for label in pa:
             assert pa[label].event_times == pb[label].event_times
@@ -529,6 +551,63 @@ def test_checkpoint_resume_bit_for_bit(tmp_path, n_posts, split, hyper_kw, prune
     rb = resumed.map_estimate()
     assert ra.assignments == rb.assignments
     assert ra.kernels == rb.kernels
+
+
+def pattern_refs(system):
+    """(particle index, "live" or "archive", label) -> the stats object."""
+    refs = {}
+    for i, particle in enumerate(system.particles):
+        for label, stats in particle.patterns.items():
+            refs[i, "live", label] = stats
+        for label, stats in archived(particle):
+            refs[i, "archive", label] = stats
+    return refs
+
+
+def test_retirement_moves_the_pattern_without_copying(monkeypatch):
+    copied = []
+    copy = PatternStats.copy
+
+    def recording_copy(self, owner=None):
+        copied.append(self)
+        return copy(self, owner)
+
+    monkeypatch.setattr(PatternStats, "copy", recording_copy)
+    system, posts = pruned_five_tau(400)
+    retired = shared = 0
+    for post in posts:
+        before = [(p, p.token, dict(p.patterns), p.archive) for p in system.particles]
+        t_prev = system.t_last
+        copied.clear()
+        system.step(post)
+        for particle, token, live, old_head in before:
+            node = particle.archive
+            while node is not old_head:
+                label, stats, node, t_retired = node
+                assert stats is live[label]
+                assert t_retired == t_prev
+                assert not any(c is stats for c in copied)
+                retired += 1
+                shared += stats.owner is not token
+    assert retired > 0 and shared > 0
+
+
+def test_checkpoint_writes_each_pattern_once(tmp_path):
+    system, posts = pruned_five_tau(300)
+    system.run(posts)
+    assert system.n_resamples > 0
+    path = tmp_path / "ckpt.json"
+    system.save_checkpoint(path)
+    saved = pattern_refs(system)
+    n_distinct = len({id(stats) for stats in saved.values()})
+    assert n_distinct < len(saved)
+    assert len(json.loads(path.read_text())["stats"]) == n_distinct
+    loaded = pattern_refs(ParticleSystem.load_checkpoint(path))
+    assert loaded.keys() == saved.keys()
+    # shared exactly where the saved ones were: object identity maps one to one
+    pairs = {(id(saved[k]), id(loaded[k])) for k in saved}
+    assert len(pairs) == n_distinct == len({b for _, b in pairs})
+    assert all(stats.owner is None for stats in loaded.values())
 
 
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
@@ -565,8 +644,8 @@ def test_checkpoint_keeps_numpy_word_ids(tmp_path):
     system.save_checkpoint(path)
     loaded = ParticleSystem.load_checkpoint(path)
     for a, b in zip(system.particles, loaded.particles):
-        assert {k: s.word_counts for k, s in a.all_patterns().items()} == \
-            {k: s.word_counts for k, s in b.all_patterns().items()}
+        assert {k: s.word_counts for k, s in all_patterns(a).items()} == \
+            {k: s.word_counts for k, s in all_patterns(b).items()}
 
 
 def test_checkpoint_version_guard(tmp_path):
@@ -574,12 +653,11 @@ def test_checkpoint_version_guard(tmp_path):
     system.step(GeoPost(t=0.1, words=[0], x=0.5, y=0.5))
     path = tmp_path / "ckpt.json"
     system.save_checkpoint(path)
-    import json
-
     payload = json.loads(path.read_text())
     assert payload["version"] == smc.CHECKPOINT_VERSION
-    # 2 is the layout before the decay sum was stored once
-    for version in (2, 999):
+    # 2 is the layout before the decay sum was stored once, 3 the one that
+    # wrote each particle's own copy of a shared pattern
+    for version in (2, 3, 999):
         payload["version"] = version
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
@@ -668,6 +746,23 @@ def test_far_from_origin_coordinates_change_nothing():
     far = edge_run(moved(posts, dx=1e7, dy=-1e7))
     assert far.map_estimate().assignments == near.map_estimate().assignments
     assert np.max(np.abs(far.log_weights - near.log_weights)) < 1e-5
+
+
+WORD_PERMUTATION = np.random.default_rng(3).permutation(15).tolist()
+
+
+@pytest.mark.parametrize("prune", [0.0, 1e-12], ids=["exact", "pruned"])
+@pytest.mark.parametrize("relabel", [
+    lambda p: GeoPost(t=p.t, words=[WORD_PERMUTATION[w] for w in p.words], x=p.x, y=p.y),
+    lambda p: GeoPost(t=p.t, words=p.words, x=p.y, y=p.x),
+], ids=["word-ids", "swap-xy"])
+def test_relabelling_changes_nothing(relabel, prune):
+    posts = edge_stream(400)
+    base = edge_run(posts, prune=prune)
+    relabelled = edge_run([relabel(p) for p in posts], prune=prune)
+    assert np.array_equal(relabelled.log_weights, base.log_weights)
+    for a, b in zip(relabelled.particles, base.particles):
+        assert a.assignments() == b.assignments()
 
 
 @pytest.mark.parametrize("n_particles, kappa, resamples", [
