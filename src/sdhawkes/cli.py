@@ -8,11 +8,10 @@ defaults). Exit codes: 0 success, 1 validation error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +23,7 @@ from .dataio import (
     load_synthetic_labels,
     preprocess,
     read_assignments,
+    write_csv,
     write_synthetic,
 )
 from .evaluation import (
@@ -146,10 +146,39 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _refuse_resume_overrides(args, system: ParticleSystem) -> None:
+    """Refuse a model or engine flag whose value differs from the
+    checkpoint's: a resumed run continues with the checkpoint's settings."""
+    config = system.config
+    saved = {**asdict(system.hyper), "particles": system.hyper.n_particles,
+             "seed": config.seed, "spatial_off": not config.spatial,
+             "fast_refit": not config.refit_all,
+             "prune": config.prune_threshold > 0.0}
+    differ = []
+    for key, value in saved.items():
+        given = getattr(args, key, None)
+        if given is None or given is False:  # not on the command line
+            continue
+        if key == "psi_tau":
+            given = _parse_psi(given)
+        if given != value:
+            differ.append(f"--{key.replace('_', '-')} {given} (checkpoint: {value})")
+    if differ:
+        raise ValueError("a resumed run keeps the checkpoint's settings, but "
+                         + ", ".join(differ))
+
+
 def cmd_infer(args) -> int:
     conf = _resolve(args)
+    if args.checkpoint_every is not None:
+        if args.checkpoint_every < 1:
+            raise ValueError(f"--checkpoint-every must be >= 1, "
+                             f"got {args.checkpoint_every}")
+        if args.checkpoint is None:
+            raise ValueError("--checkpoint-every needs --checkpoint")
     if args.resume:
         system = ParticleSystem.load_checkpoint(args.resume)
+        _refuse_resume_overrides(args, system)
         data = _load_stream(args.input, conf["top_k"])
         if len(data.posts) < system.n:
             raise ValueError(f"input has {len(data.posts)} posts, fewer than the "
@@ -177,7 +206,8 @@ def cmd_infer(args) -> int:
     trace_labels = ([int(v) for v in args.traces.split(",")]
                     if args.traces else ())
     paths = export_results(result, args.out_dir, projection=data.projection,
-                           vocab=data.vocab, trace_labels=trace_labels)
+                           vocab=data.vocab, trace_labels=trace_labels,
+                           times=[p.t for p in data.posts])
     print(f"{len(result.assignments)} posts in {len(result.summaries)} "
           f"patterns; results under {args.out_dir}")
     for name, path in paths.items():
@@ -197,6 +227,8 @@ def cmd_evaluate(args) -> int:
         return 0
 
     if args.metric == "sweep-sigma0":
+        if args.trials < 1:
+            raise ValueError(f"--trials must be >= 1, got {args.trials}")
         grid = [float(v) for v in args.sigma0_grid.split(",")]
         rows = []
         for sigma0 in grid:
@@ -224,26 +256,27 @@ def cmd_evaluate(args) -> int:
                 print(f"sigma0={sigma0} model={model} "
                       f"nmi={mean:.4f} stderr={stderr:.4f}")
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["sigma0", "model", "mean_nmi", "stderr",
-                                 "trials"])
-                writer.writerows(rows)
+            write_csv(args.out, ["sigma0", "model", "mean_nmi", "stderr",
+                                 "trials"], rows)
         return 0
 
     if args.metric == "delta-alpha":
         data = _load_stream(args.input, 0)
         truth_params = load_ground_truth(args.truth)
         truth_labels = load_synthetic_labels(args.input)
+        n_rows = len(data.posts) + data.n_dropped_empty
+        if len(truth_labels) != n_rows:
+            raise ValueError(f"{args.input} has {len(truth_labels)} labelled "
+                             f"rows but {n_rows} valid posts")
         hyper = _hyper_from(conf, vocab_size=data.vocab_size)
         system = ParticleSystem(hyper, EngineConfig(seed=conf["seed"],
                                                     prune_threshold=1e-12))
         system.run(data.posts)
         result = system.map_estimate()
-        posts = data.posts
-        for post, label in zip(posts, truth_labels):
-            post.label_true = label
-        records = alpha_precision_records(result, posts, truth_params)
+        # preprocessing drops posts left without words: label by source row
+        for post, i in zip(data.posts, data.source_indices):
+            post.label_true = truth_labels[i]
+        records = alpha_precision_records(result, data.posts, truth_params)
         buckets = [(2, 5), (6, 20), (21, 100), (101, 10 ** 9)]
         rows = []
         for lo, hi in buckets:
@@ -255,10 +288,7 @@ def cmd_evaluate(args) -> int:
         for label, count, med in rows:
             print(f"{label},{count},{med:.4f}")
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["bucket", "count", "median_delta_alpha"])
-                writer.writerows(rows)
+            write_csv(args.out, ["bucket", "count", "median_delta_alpha"], rows)
         return 0
 
     raise ValueError(f"unknown metric {args.metric!r}")
@@ -273,26 +303,21 @@ def cmd_predict(args) -> int:
     records = location_prediction_protocol(
         data.posts, hyper, engine, n_trials=args.trials, seed=conf["seed"])
     scale = dataset_spatial_scale(data.posts)
+    metrics = []
+    for criterion in ("loose", "tight"):
+        value = rmse_selected(records, criterion, scale, seed=conf["seed"])
+        text = "insufficient" if value is None else f"{value:.6f}"
+        metrics.append([criterion, text])
+        print(f"{criterion}: {text}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "prediction_records.csv", "w", encoding="utf-8",
-              newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "pred_x", "pred_y", "true_x", "true_y",
-                         "pattern_size", "sigma", "trial"])
-        for r in records:
-            writer.writerow([r.index, r.predicted[0], r.predicted[1],
-                             r.actual[0], r.actual[1], r.pattern_size,
-                             r.sigma, r.trial])
-    with open(out_dir / "prediction_metrics.csv", "w", encoding="utf-8",
-              newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["criterion", "normalized_rmse"])
-        for criterion in ("loose", "tight"):
-            value = rmse_selected(records, criterion, scale, seed=conf["seed"])
-            text = "insufficient" if value is None else f"{value:.6f}"
-            writer.writerow([criterion, text])
-            print(f"{criterion}: {text}")
+    write_csv(out_dir / "prediction_records.csv",
+              ["index", "pred_x", "pred_y", "true_x", "true_y", "pattern_size",
+               "sigma", "trial"],
+              ([r.index, r.predicted[0], r.predicted[1], r.actual[0],
+                r.actual[1], r.pattern_size, r.sigma, r.trial] for r in records))
+    write_csv(out_dir / "prediction_metrics.csv",
+              ["criterion", "normalized_rmse"], metrics)
     return 0
 
 
@@ -341,10 +366,7 @@ def cmd_gof(args) -> int:
     for name, model_name, value in rows:
         print(f"{name} {model_name} {value:.6f}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["metric", "model", "value"])
-            writer.writerows(rows)
+        write_csv(args.out, ["metric", "model", "value"], rows)
     return 0
 
 

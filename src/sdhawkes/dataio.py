@@ -15,7 +15,10 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .generate import SynthResult
+import numpy as np
+
+from .generate import PatternParams, SynthResult
+from .hawkes import TimeKernel
 from .types import ClusteringResult, GeoPost
 
 __all__ = [
@@ -25,6 +28,7 @@ __all__ = [
     "load_posts",
     "preprocess",
     "export_results",
+    "write_csv",
     "write_synthetic",
     "load_ground_truth",
     "read_assignments",
@@ -116,30 +120,22 @@ def load_posts(path) -> tuple[list[RawPost], list[str]]:
     posts: list[RawPost] = []
     issues: list[str] = []
 
-    if path.suffix.lower() != ".csv":
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                    if not isinstance(row, dict):
-                        raise ValueError("not a JSON object")
-                    if "t" not in row:
-                        raise ValueError("missing t")
-                    posts.append(_row_to_post(row))
-                except (ValueError, TypeError, KeyError) as exc:
-                    issues.append(f"line {lineno}: {exc}")
-    else:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    if row.get("t") in (None, ""):
-                        raise ValueError("missing t")
-                    posts.append(_row_to_post(row))
-                except (ValueError, TypeError, KeyError) as exc:
-                    issues.append(f"line {lineno}: {exc}")
+    with open(path, encoding="utf-8", newline="") as fh:
+        if path.suffix.lower() == ".csv":
+            rows = enumerate(csv.DictReader(fh), start=2)
+        else:
+            rows = ((n, line) for n, line in enumerate(fh, start=1) if line.strip())
+        for lineno, row in rows:
+            try:
+                if isinstance(row, str):
+                    row = json.loads(row)
+                if not isinstance(row, dict):
+                    raise ValueError("not a JSON object")
+                if row.get("t") in (None, ""):
+                    raise ValueError("missing t")
+                posts.append(_row_to_post(row))
+            except (ValueError, TypeError, KeyError) as exc:
+                issues.append(f"line {lineno}: {exc}")
 
     if not posts:
         raise ValueError(f"no valid posts in {path}"
@@ -198,10 +194,8 @@ def preprocess(raws: list[RawPost], top_k: int = 200) -> PreprocessResult:
 
     posts: list[GeoPost] = []
     source_indices: list[int] = []
-    n_dropped = 0
     for i, (raw, tokens) in enumerate(zip(raws, kept)):
         if not tokens:
-            n_dropped += 1
             continue
         if geographic:
             x, y = projection.to_xy(raw.lat, raw.lon)
@@ -215,73 +209,81 @@ def preprocess(raws: list[RawPost], top_k: int = 200) -> PreprocessResult:
     if not posts:
         raise ValueError("preprocessing removed every post")
     return PreprocessResult(posts=posts, vocab=vocab, projection=projection,
-                            n_dropped_empty=n_dropped,
+                            n_dropped_empty=len(raws) - len(posts),
                             source_indices=source_indices)
 
 
 # ----------------------------------------------------------------------
 # result files
 
+def write_csv(path, header, rows) -> Path:
+    """Write a header row and then ``rows`` to a CSV file with Unix line ends."""
+    path = Path(path)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def export_results(result: ClusteringResult, out_dir,
                    projection: Projection | None = None,
                    vocab: list[str] | None = None,
-                   trace_labels=()) -> dict[str, Path]:
+                   trace_labels=(), times=None) -> dict[str, Path]:
     """Write assignments, pattern summaries, and optional intensity traces.
 
     assignments.csv: post_index,label. patterns.csv: one row per pattern
     with size, mean location (lat/lon when a projection is given), scale,
     kernel, time span and the top-10 words. trace_<label>.csv: (t, lambda_s)
-    sampled over the pattern's lifetime plus a three-tau tail.
+    sampled over the pattern's lifetime plus a three-tau tail, from the post
+    times (``times``, one per post) the MAP labelling gives the label. Bad
+    trace labels or times are refused before any file is written.
     """
-    unknown = [label for label in trace_labels if label not in result.patterns]
+    unknown = [label for label in trace_labels
+               if label not in range(len(result.summaries))]
     if unknown:
         raise ValueError(f"no pattern has trace label(s) {unknown}")
+    if trace_labels and times is None:
+        raise ValueError("intensity traces need the post times")
+    if times is not None and len(times) != len(result.assignments):
+        raise ValueError(f"{len(times)} post times for "
+                         f"{len(result.assignments)} assignments")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
+    paths = {"assignments": write_csv(out_dir / "assignments.csv",
+                                      ["post_index", "label"],
+                                      enumerate(result.assignments))}
 
-    a_path = out_dir / "assignments.csv"
-    with open(a_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["post_index", "label"])
-        for i, label in enumerate(result.assignments):
-            writer.writerow([i, label])
-    paths["assignments"] = a_path
+    rows = []
+    for s in result.summaries:
+        if projection and not math.isnan(s.mean[0]):
+            loc = projection.to_latlon(s.mean[0], s.mean[1])
+        else:
+            loc = s.mean
+        words = "|".join(
+            (vocab[w] if vocab else str(w)) for w, _ in s.top_words)
+        rows.append([s.label, s.size, f"{loc[0]:.8f}", f"{loc[1]:.8f}",
+                     f"{s.scale:.8g}", f"{s.alpha:.8g}", f"{s.tau:.8g}",
+                     f"{s.time_span:.8g}", words])
+    loc_cols = ["mean_lat", "mean_lon"] if projection else ["mean_x", "mean_y"]
+    paths["patterns"] = write_csv(out_dir / "patterns.csv",
+                                  ["label", "size", *loc_cols, "sigma", "alpha",
+                                   "tau", "time_span", "top_words"], rows)
 
-    p_path = out_dir / "patterns.csv"
-    with open(p_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        loc_cols = ["mean_lat", "mean_lon"] if projection else ["mean_x", "mean_y"]
-        writer.writerow(["label", "size", *loc_cols, "sigma", "alpha", "tau",
-                         "time_span", "top_words"])
-        for s in result.summaries:
-            if projection and not math.isnan(s.mean[0]):
-                loc = projection.to_latlon(s.mean[0], s.mean[1])
-            else:
-                loc = s.mean
-            words = "|".join(
-                (vocab[w] if vocab else str(w)) for w, _ in s.top_words)
-            writer.writerow([s.label, s.size, f"{loc[0]:.8f}", f"{loc[1]:.8f}",
-                             f"{s.scale:.8g}", f"{s.alpha:.8g}", f"{s.tau:.8g}",
-                             f"{s.time_span:.8g}", words])
-    paths["patterns"] = p_path
-
+    n_grid = 400
     for label in trace_labels:
-        stats = result.patterns[label]
-        alpha, tau = result.kernels[label]
-        t_lo = stats.event_times[0]
-        t_hi = stats.event_times[-1] + 3.0 * tau
-        n_grid = 400
-        t_path = out_dir / f"trace_{label}.csv"
-        with open(t_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t", "intensity"])
-            for j in range(n_grid + 1):
-                t = t_lo + (t_hi - t_lo) * j / n_grid
-                lam = alpha * sum(math.exp(-(t - ti) / tau)
-                                  for ti in stats.event_times if ti <= t)
-                writer.writerow([f"{t:.8g}", f"{lam:.8g}"])
-        paths[f"trace_{label}"] = t_path
+        alpha, tau = result.summaries[label].alpha, result.summaries[label].tau
+        event_times = [t for t, k in zip(times, result.assignments) if k == label]
+        t_lo = event_times[0]
+        t_hi = event_times[-1] + 3.0 * tau
+        rows = []
+        for j in range(n_grid + 1):
+            t = t_lo + (t_hi - t_lo) * j / n_grid
+            lam = alpha * sum(math.exp(-(t - ti) / tau)
+                              for ti in event_times if ti <= t)
+            rows.append([f"{t:.8g}", f"{lam:.8g}"])
+        paths[f"trace_{label}"] = write_csv(out_dir / f"trace_{label}.csv",
+                                            ["t", "intensity"], rows)
     return paths
 
 
@@ -307,29 +309,22 @@ def write_synthetic(synth: SynthResult, posts_path, truth_path) -> None:
                 "text": " ".join(f"w{w}" for w in post.words),
                 "label": post.label_true,
             }) + "\n")
-    with open(truth_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label", "alpha", "tau", "sigma", "center_x",
-                         "center_y", "theta"])
-        for label in sorted(synth.params):
-            p = synth.params[label]
-            writer.writerow([label, repr(float(p.kernel.alpha)),
-                             repr(float(p.kernel.tau)), repr(float(p.sigma)),
-                             repr(float(p.center[0])), repr(float(p.center[1])),
-                             "|".join(repr(float(v)) for v in p.theta)])
+    rows = []
+    for label in sorted(synth.params):
+        p = synth.params[label]
+        rows.append([label, repr(float(p.kernel.alpha)),
+                     repr(float(p.kernel.tau)), repr(float(p.sigma)),
+                     repr(float(p.center[0])), repr(float(p.center[1])),
+                     "|".join(repr(float(v)) for v in p.theta)])
+    write_csv(truth_path, ["label", "alpha", "tau", "sigma", "center_x",
+                           "center_y", "theta"], rows)
 
 
 def load_ground_truth(truth_path):
     """Read the per-pattern truth sidecar back into PatternParams."""
-    import numpy as np
-
-    from .generate import PatternParams
-    from .hawkes import TimeKernel
-
     out = {}
     with open(truth_path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
+        for row in csv.DictReader(fh):
             out[int(row["label"])] = PatternParams(
                 theta=np.array([float(v) for v in row["theta"].split("|")]),
                 center=(float(row["center_x"]), float(row["center_y"])),
@@ -341,10 +336,6 @@ def load_ground_truth(truth_path):
 
 def load_synthetic_labels(posts_path) -> list[int]:
     """True labels from a synthetic JSONL stream, in time order."""
-    labels = []
     with open(posts_path, encoding="utf-8") as fh:
         rows = [json.loads(line) for line in fh if line.strip()]
-    rows.sort(key=lambda r: r["t"])
-    for row in rows:
-        labels.append(int(row["label"]))
-    return labels
+    return [int(row["label"]) for row in sorted(rows, key=lambda r: r["t"])]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .baselines import gmm_predictive_logdensity, fit_isotropic_gmm
 from .smc import EngineConfig, ParticleSystem
-from .types import ClusteringResult, GeoPost, Hyperparams, pattern_summary
+from .types import ClusteringResult, GeoPost, Hyperparams
 
 __all__ = [
     "nmi",
@@ -79,23 +79,20 @@ def alpha_precision_records(result: ClusteringResult, posts,
                             true_params) -> list[tuple[int, float]]:
     """(inferred pattern size, delta_alpha vs the majority true pattern) for
     every inferred pattern with a fitted kernel (>= 2 posts)."""
-    members: dict[int, list[int]] = {}
+    votes: dict[int, dict[int, int]] = {}  # label -> true label -> count
     for i, label in enumerate(result.assignments):
-        members.setdefault(label, []).append(i)
+        tally = votes.setdefault(label, {})
+        tally[posts[i].label_true] = tally.get(posts[i].label_true, 0) + 1
     out = []
-    for label, idxs in members.items():
-        if len(idxs) < 2:
+    for label, tally in votes.items():
+        summary = result.summaries[label]
+        if summary.size < 2:
             continue
-        votes: dict[int, int] = {}
-        for i in idxs:
-            truth = posts[i].label_true
-            votes[truth] = votes.get(truth, 0) + 1
-        majority = max(votes.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+        majority = max(tally.items(), key=lambda kv: (kv[1], -kv[0]))[0]
         alpha_true = true_params[majority].kernel.alpha
-        alpha_hat = result.kernels[label][0]
-        if alpha_true <= 0 and alpha_hat <= 0:
+        if alpha_true <= 0 and summary.alpha <= 0:
             continue
-        out.append((len(idxs), alpha_precision(alpha_true, alpha_hat)))
+        out.append((summary.size, alpha_precision(alpha_true, summary.alpha)))
     return out
 
 
@@ -131,8 +128,11 @@ def location_prediction_protocol(posts, hyper: Hyperparams,
     contributing no spatial information, then predict each hidden location
     as the mean of the located posts in its assigned pattern. A post hidden
     in several trials keeps the record from the trial whose pattern was
-    tightest (smallest scale estimate).
+    tightest (smallest scale estimate). A post whose pattern has no located
+    post gives no record.
     """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     n = len(posts)
     burn = int(burn_frac * n)
     if n < burn + 1 or burn >= n:
@@ -153,16 +153,14 @@ def location_prediction_protocol(posts, hyper: Hyperparams,
         system.run(posts, hidden=hidden)
         result = system.map_estimate()
         for i in sorted(hidden):
-            label = result.assignments[i]
-            stats = result.patterns[label]
-            if stats.n_spatial < 1:
+            summary = result.summaries[result.assignments[i]]
+            if math.isnan(summary.scale):
                 continue
-            summary = pattern_summary(stats, hyper.beta_space)
             record = PredictionRecord(
                 index=i,
                 predicted=summary.mean,
                 actual=(posts[i].x, posts[i].y),
-                pattern_size=stats.n_posts,
+                pattern_size=summary.size,
                 sigma=summary.scale,
                 trial=trial,
             )
@@ -225,10 +223,10 @@ class SmcPredictor:
 
 
 class GmmStreamPredictor:
-    """Streaming isotropic mixture refit on the location prefix at each
-    evaluation, warm-started from the previous fit, with the component count
-    read from ``k_schedule`` at the current prefix length (clamped to the
-    prefix size by ``fit_isotropic_gmm``)."""
+    """Location-only streaming isotropic mixture, refit on the location
+    prefix at each evaluation, warm-started from the previous fit, with the
+    component count read from ``k_schedule`` at the current prefix length
+    (clamped to the prefix size by ``fit_isotropic_gmm``)."""
 
     def __init__(self, k_schedule, sigma2_min: float, seed: int = 0):
         self.k_schedule = list(k_schedule)
@@ -246,9 +244,6 @@ class GmmStreamPredictor:
                                            self.sigma2_min, init=self._model,
                                            seed=self.seed)
         return gmm_predictive_logdensity(self._model, (post.x, post.y))
-
-    def content_logdensity(self, post: GeoPost) -> float:
-        raise NotImplementedError("location-only model")
 
     def update(self, post: GeoPost) -> None:
         self.locations.append((post.x, post.y))

@@ -229,42 +229,31 @@ class ParticleSystem:
         if self.n < 1:
             raise ValueError("no posts processed")
         mass: dict[tuple, float] = {}
-        first_idx: dict[tuple, int] = {}
-        for i, (w, p) in enumerate(zip(self.weights, self.particles)):
+        first: dict[tuple, Particle] = {}
+        for w, p in zip(self.weights, self.particles):
             key = tuple(p.assignments())
             mass[key] = mass.get(key, 0.0) + float(w)
-            if key not in first_idx:
-                first_idx[key] = i
-        best_key = max(mass, key=lambda k: (mass[k], -first_idx[k]))
-        best = first_idx[best_key]
-        particle = self.particles[best]
-        patterns = dict(particle.patterns)
-        t_fit = dict.fromkeys(patterns, self.t_last)
+            first.setdefault(key, p)
+        # keys are in first-particle order and max keeps the first of equals
+        best_key = max(mass, key=mass.get)
+        particle = first[best_key]
+        last_scored = [(label, stats, self.t_last)
+                       for label, stats in particle.patterns.items()]
         node = particle.archive
         while node is not None:
             label, stats, node, t_retired = node
-            patterns[label] = stats
-            t_fit[label] = t_retired
-        patterns = dict(sorted(patterns.items()))
+            last_scored.append((label, stats, t_retired))
         refit = self.config.fixed_kernel is None and self.config.refit_all
-        kernels: dict[int, tuple[float, float]] = {}
-        summaries = []
-        for label, stats in patterns.items():
-            if refit and stats.n_posts >= 2:
-                alpha, tau, _ = fit_kernel(stats, t_fit[label], self.hyper)
-            else:
-                alpha, tau = stats.alpha, stats.tau
-            kernels[label] = (alpha, tau)
+        summaries = [None] * particle.S  # labels are 0..S-1, each used
+        for label, stats, t_fit in last_scored:
             summary = pattern_summary(stats, self.hyper.beta_space, label=label)
-            summary.alpha = alpha
-            summary.tau = tau
-            summaries.append(summary)
+            if refit and stats.n_posts >= 2:
+                summary.alpha, summary.tau, _ = fit_kernel(stats, t_fit, self.hyper)
+            summaries[label] = summary
         return ClusteringResult(
-            assignments=particle.assignments(),
+            assignments=list(best_key),
             summaries=summaries,
             weights=[float(w) for w in self.weights],
-            patterns=patterns,
-            kernels=kernels,
         )
 
     # ------------------------------------------------------------------

@@ -9,7 +9,7 @@ to touch raw event history.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "GeoPost",
@@ -108,9 +108,9 @@ class PatternStats:
     posterior scale never suffers catastrophic cancellation. Only posts with
     an observed location enter the spatial statistics (``n_spatial``).
 
-    ``event_times`` lists the pattern's post times. Only exports and
-    summaries read it, but ``copy`` copies it, so a copy-on-write copy costs
-    O(pattern size).
+    ``event_times`` lists the pattern's post times. In this package only
+    ``pattern_summary``'s time span reads it, but ``copy`` copies it, so a
+    copy-on-write copy costs O(pattern size).
 
     ``alpha``/``tau`` hold the kernel as of the last attach (``map_estimate``
     refits at the last scored time); ``owner`` is a copy-on-write token
@@ -279,14 +279,16 @@ class PatternSummary:
 
 @dataclass(slots=True)
 class ClusteringResult:
-    """Output of a full inference run: the MAP particle's labeling plus
-    per-pattern summaries and the final particle weights."""
+    """The MAP particle's labeling, one summary per pattern (with the kernel
+    ``map_estimate`` refit) and the final particle weights.
+
+    The MAP labels are 0..S-1 and each holds a post, so ``summaries`` is in
+    label order: ``summaries[k].label == k``.
+    """
 
     assignments: list[int]
     summaries: list[PatternSummary]
     weights: list[float]
-    patterns: dict[int, PatternStats] = field(repr=False, default_factory=dict)
-    kernels: dict[int, tuple[float, float]] = field(default_factory=dict)
 
 
 def pattern_summary(stats: PatternStats, beta_space: float, label: int = 0,

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from sdhawkes.cli import main
-from sdhawkes.dataio import load_posts, preprocess, read_assignments
-from sdhawkes.evaluation import GmmStreamPredictor, spatial_gof
+from sdhawkes.dataio import load_ground_truth, load_posts, preprocess, read_assignments
+from sdhawkes.evaluation import GmmStreamPredictor, alpha_precision_records, spatial_gof
 from sdhawkes.smc import EngineConfig, ParticleSystem
 from sdhawkes.types import Hyperparams
 
@@ -277,3 +277,130 @@ def test_infer_resume_rejects_mismatched_input(tmp_path, capsys):
     assert small_vocab != vocab
     err = capsys.readouterr().err
     assert f"{small_vocab} words" in err and f"has {vocab}" in err
+
+
+@pytest.mark.parametrize("every, with_path, message", [
+    (100, False, "--checkpoint-every needs --checkpoint"),
+    (-7, True, "--checkpoint-every must be >= 1, got -7"),
+    (0, True, "--checkpoint-every must be >= 1, got 0"),
+], ids=["no-path", "negative", "zero"])
+def test_infer_refuses_checkpoint_every_it_cannot_honour(tmp_path, capsys, every,
+                                                         with_path, message):
+    posts, _ = gen_args(tmp_path, n=40, seed=6)
+    out_dir = tmp_path / "run"
+    ck = tmp_path / "ck.json"
+    capsys.readouterr()
+    code = run_cli("infer", "--input", posts, "--out-dir", out_dir, "--seed", 6,
+                   "--top-k", 0, "--particles", 2, "--checkpoint-every", every,
+                   *(("--checkpoint", ck) if with_path else ()))
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert not ck.exists()
+
+
+def test_infer_resume_refuses_flags_that_differ_from_checkpoint(tmp_path, capsys):
+    posts, _ = gen_args(tmp_path, n=60, seed=23)
+    half = tmp_path / "half.jsonl"
+    half.write_text("\n".join(posts.read_text().splitlines()[:30]) + "\n")
+    ck = tmp_path / "ck.json"
+    assert run_cli("infer", "--input", half, "--out-dir", tmp_path / "half",
+                   "--seed", 23, "--top-k", 0, "--particles", 2,
+                   "--checkpoint", ck) == 0
+
+    def resume(out_name, *flags):
+        return run_cli("infer", "--input", posts, "--out-dir", tmp_path / out_name,
+                       "--top-k", 0, "--resume", ck, *flags)
+
+    capsys.readouterr()
+    assert resume("bad", "--particles", 16, "--spatial-off", "--lambda0", 99,
+                  "--seed", 77) == 1
+    err = capsys.readouterr().err
+    for named in ("--lambda0 99.0 (checkpoint: 10.0)",
+                  "--particles 16 (checkpoint: 2)",
+                  "--seed 77 (checkpoint: 23)",
+                  "--spatial-off True (checkpoint: False)"):
+        assert named in err
+    for flags, named in [
+        (("--psi-tau", "1,7"), "--psi-tau (1.0, 7.0) (checkpoint: (1.0,))"),
+        (("--prune",), "--prune True (checkpoint: False)"),
+        (("--fast-refit",), "--fast-refit True (checkpoint: False)"),
+        (("--vocab-size", 3), "--vocab-size 3 (checkpoint: "),
+    ]:
+        assert resume("bad", *flags) == 1
+        assert named in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+    # flags equal to the checkpoint's values are accepted
+    assert resume("same", "--particles", 2, "--seed", 23, "--lambda0", 10,
+                  "--psi-tau", "1") == 0
+    assert resume("plain") == 0
+    assert (tmp_path / "same" / "assignments.csv").read_text() == \
+        (tmp_path / "plain" / "assignments.csv").read_text()
+
+
+def test_trials_below_one_refused_before_any_output(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    capsys.readouterr()
+    assert run_cli("evaluate", "sweep-sigma0", "--sigma0-grid", "0.05",
+                   "--trials", 0, "--n", 60, "--particles", 2, "--out", out) == 1
+    captured = capsys.readouterr()
+    assert "--trials must be >= 1, got 0" in captured.err
+    assert "nmi=" not in captured.out
+    assert not out.exists()
+
+    posts, _ = gen_args(tmp_path, n=60, seed=17)
+    out_dir = tmp_path / "pred"
+    assert run_cli("predict", "--input", posts, "--out-dir", out_dir,
+                   "--trials", 0, "--top-k", 0, "--particles", 2) == 1
+    assert "n_trials must be >= 1, got 0" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def delta_alpha_buckets(path):
+    with open(path, newline="") as fh:
+        return {r["bucket"]: (int(r["count"]), float(r["median_delta_alpha"]))
+                for r in csv.DictReader(fh)}
+
+
+def test_delta_alpha_aligns_truth_labels_with_kept_posts(tmp_path):
+    model = ("--alpha-time", 2.0, "--beta-time", 2.0)
+    posts_path, truth = gen_args(tmp_path, n=200, seed=19, extra=model)
+    rows = [json.loads(line) for line in posts_path.read_text().splitlines()]
+    rows[5]["text"] = ""  # preprocessing drops this post
+    posts_path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    out = tmp_path / "da.csv"
+    assert run_cli("evaluate", "delta-alpha", "--input", posts_path, "--truth",
+                   truth, "--particles", 2, "--seed", 19, *model, "--out", out) == 0
+
+    # the same run, each kept post labelled from its own row
+    prep = preprocess(load_posts(posts_path)[0], top_k=0)
+    kept = sorted((r for r in rows if r["text"]), key=lambda r: r["t"])
+    assert len(kept) == len(prep.posts) == 199
+    for post, row in zip(prep.posts, kept):
+        assert (post.t, post.x, post.y) == (row["t"], row["x"], row["y"])
+        post.label_true = row["label"]
+    hyper = Hyperparams(n_particles=2, alpha_time=2.0, beta_time=2.0,
+                        vocab_size=prep.vocab_size)
+    system = ParticleSystem(hyper, EngineConfig(seed=19, prune_threshold=1e-12))
+    records = alpha_precision_records(system.run(prep.posts).map_estimate(),
+                                      prep.posts, load_ground_truth(truth))
+    got = delta_alpha_buckets(out)
+    for bucket, (lo, hi) in {"2-5": (2, 5), "6-20": (6, 20),
+                             "21-100": (21, 100), ">100": (101, 10 ** 9)}.items():
+        deltas = [d for size, d in records if lo <= size <= hi]
+        count, median = got[bucket]
+        assert count == len(deltas)
+        if deltas:
+            assert median == float(np.median(deltas))
+
+
+def test_delta_alpha_refuses_label_count_mismatch(tmp_path, capsys):
+    posts_path, truth = gen_args(tmp_path, n=120, seed=19)
+    rows = [json.loads(line) for line in posts_path.read_text().splitlines()]
+    rows[7]["x"] = None  # ingestion skips this row; the label reader does not
+    posts_path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    capsys.readouterr()
+    assert run_cli("evaluate", "delta-alpha", "--input", posts_path, "--truth",
+                   truth, "--particles", 2) == 1
+    assert "120 labelled rows but 119 valid posts" in capsys.readouterr().err

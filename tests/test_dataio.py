@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -17,6 +18,8 @@ from sdhawkes.dataio import (
 from sdhawkes.generate import SynthConfig, generate
 from sdhawkes.smc import EngineConfig, ParticleSystem
 from sdhawkes.types import Hyperparams
+
+from oracles import intensity_direct
 
 
 def write_jsonl(path, rows):
@@ -199,11 +202,10 @@ def test_export_round_trip(tmp_path):
     result = system.map_estimate()
     trace_label = result.summaries[0].label
     paths = export_results(result, tmp_path / "out",
-                           trace_labels=[trace_label])
+                           trace_labels=[trace_label],
+                           times=[p.t for p in posts])
     got = read_assignments(paths["assignments"])
     assert got == result.assignments
-
-    import csv
 
     with open(paths["patterns"], encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -214,6 +216,49 @@ def test_export_round_trip(tmp_path):
         trace = list(csv.DictReader(fh))
     assert len(trace) == 401
     assert float(trace[0]["intensity"]) >= 0.0
+
+
+def small_map_run(n_posts=80, seed=34):
+    hyper = Hyperparams(n_particles=2, psi_tau=(0.25, 1.0))
+    posts = generate(SynthConfig(hyper=hyper, n_posts=n_posts, seed=seed,
+                                 sigma0=0.05)).posts
+    system = ParticleSystem(hyper, EngineConfig(seed=seed))
+    return posts, system.run(posts).map_estimate()
+
+
+def test_export_traces_match_direct_intensity(tmp_path):
+    posts, result = small_map_run()
+    labels = [s.label for s in result.summaries if s.size >= 3][:3]
+    assert labels
+    paths = export_results(result, tmp_path, trace_labels=labels,
+                           times=[p.t for p in posts])
+    for label in labels:
+        alpha, tau = result.summaries[label].alpha, result.summaries[label].tau
+        times = [p.t for p, k in zip(posts, result.assignments) if k == label]
+        t_lo, t_hi = times[0], times[-1] + 3.0 * tau
+        with open(paths[f"trace_{label}"], encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 401
+        for j, row in enumerate(rows):
+            t = t_lo + (t_hi - t_lo) * j / 400
+            expected = intensity_direct([ti for ti in times if ti <= t], t,
+                                        alpha, tau)
+            assert float(row["t"]) == pytest.approx(t, rel=1e-7)
+            assert float(row["intensity"]) == pytest.approx(expected, rel=1e-7)
+
+
+@pytest.mark.parametrize("trace_labels, n_times, message", [
+    ((0,), 79, "79 post times for 80 assignments"),
+    ((), 79, "79 post times for 80 assignments"),
+    ((0,), None, "intensity traces need the post times"),
+], ids=["traced", "untraced", "traced-without-times"])
+def test_export_refuses_bad_times(tmp_path, trace_labels, n_times, message):
+    posts, result = small_map_run()
+    times = None if n_times is None else [p.t for p in posts[:n_times]]
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=message):
+        export_results(result, out, trace_labels=trace_labels, times=times)
+    assert not out.exists()
 
 
 def test_export_single_post(tmp_path):

@@ -201,6 +201,14 @@ def test_prediction_protocol_too_small_errors():
         location_prediction_protocol(posts, hyper, n_trials=1, hide_frac=0.9)
 
 
+@pytest.mark.parametrize("n_trials", [0, -3])
+def test_prediction_protocol_refuses_no_trials(n_trials):
+    hyper = base_hyper()
+    posts = generate(SynthConfig(hyper=hyper, n_posts=50, seed=6)).posts
+    with pytest.raises(ValueError, match="n_trials"):
+        location_prediction_protocol(posts, hyper, n_trials=n_trials)
+
+
 # ----------------------------------------------------------------------
 # gof and perplexity
 

@@ -411,6 +411,17 @@ def test_map_estimate_empty_errors():
         system.map_estimate()
 
 
+def test_map_summaries_are_in_label_order_with_archived_patterns():
+    system, posts = pruned_five_tau(300)
+    result = system.run(posts).map_estimate()
+    map_particle = next(p for p in system.particles
+                        if p.assignments() == result.assignments)
+    assert archived_labels(map_particle)
+    assert [s.label for s in result.summaries] == list(range(map_particle.S))
+    assert [s.size for s in result.summaries] == \
+        np.bincount(result.assignments).tolist()
+
+
 # ----------------------------------------------------------------------
 # one-step-ahead predictive
 
@@ -550,7 +561,8 @@ def test_checkpoint_resume_bit_for_bit(tmp_path, n_posts, split, hyper_kw, strea
     ra = straight.map_estimate()
     rb = resumed.map_estimate()
     assert ra.assignments == rb.assignments
-    assert ra.kernels == rb.kernels
+    assert [(r.alpha, r.tau) for r in ra.summaries] == \
+        [(r.alpha, r.tau) for r in rb.summaries]
 
 
 def pattern_refs(system):
@@ -677,8 +689,8 @@ def test_fast_refit_mode_runs():
     result = fast.map_estimate()
     assert len(result.assignments) == 120
     assert sum(s.size for s in result.summaries) == 120
-    for label, (alpha, tau) in result.kernels.items():
-        assert alpha >= 0 and tau in hyper.psi_tau
+    for summary in result.summaries:
+        assert summary.alpha >= 0 and summary.tau in hyper.psi_tau
 
 
 def test_pruning_preserves_labels_and_results():
@@ -726,16 +738,16 @@ def moved(posts, t=None, dx=0.0, dy=0.0):
 def test_equal_timestamps_keep_weights_finite(tie, prune):
     system = edge_run(moved(edge_stream(200), t=tie), prune=prune)
     assert np.all(np.isfinite(system.log_weights))
-    for alpha, tau in system.map_estimate().kernels.values():
-        assert math.isfinite(alpha) and math.isfinite(tau)
+    for summary in system.map_estimate().summaries:
+        assert math.isfinite(summary.alpha) and math.isfinite(summary.tau)
 
 
 def test_huge_gaps_start_a_new_pattern_per_post():
     posts = moved(edge_stream(100), t=lambda i, p: i * 1e6)
     system = edge_run(posts)
     assert np.all(np.isfinite(system.log_weights))
-    for alpha, tau in system.map_estimate().kernels.values():
-        assert math.isfinite(alpha) and math.isfinite(tau)
+    for summary in system.map_estimate().summaries:
+        assert math.isfinite(summary.alpha) and math.isfinite(summary.tau)
     for particle in system.particles:
         assert particle.assignments() == list(range(100))
 
