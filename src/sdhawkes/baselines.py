@@ -23,12 +23,11 @@ __all__ = [
 
 @dataclass(slots=True)
 class GmmModel:
-    """Isotropic 2-D Gaussian mixture with a variance floor."""
+    """Isotropic 2-D Gaussian mixture."""
 
     weights: np.ndarray
     means: np.ndarray       # (k, 2)
-    variances: np.ndarray   # (k,), all >= var_floor
-    var_floor: float
+    variances: np.ndarray   # (k,), each at least the fit's variance floor
 
 
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -59,12 +58,13 @@ def gmm_predictive_logdensity(model: GmmModel, r) -> float:
 
 def fit_isotropic_gmm(x, k: int, var_floor: float,
                       init: GmmModel | None = None, seed: int = 0,
-                      tol: float = 1e-6, max_iter: int = 200):
+                      max_iter: int = 200):
     """EM fit of a k-component isotropic mixture on the rows of ``x``.
 
     Returns (model, per-iteration log likelihoods). ``k`` is clamped to the
     number of rows. ``init`` warm-starts from a previous fit when its
     component count matches; otherwise k-means++ seeding with the given seed.
+    EM stops when the log likelihood changes by less than 1e-6 of itself.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
@@ -75,12 +75,12 @@ def fit_isotropic_gmm(x, k: int, var_floor: float,
     k = min(k, n)
     if init is not None and len(init.weights) == k:
         model = GmmModel(init.weights.copy(), init.means.copy(),
-                         init.variances.copy(), var_floor)
+                         init.variances.copy())
     else:
         rng = np.random.default_rng(seed)
         means = _kmeans_pp_init(x, k, rng)
         var0 = max(float(x.var(axis=0).mean()), var_floor)
-        model = GmmModel(np.full(k, 1.0 / k), means, np.full(k, var0), var_floor)
+        model = GmmModel(np.full(k, 1.0 / k), means, np.full(k, var0))
 
     history = []
     prev_ll = -np.inf
@@ -97,8 +97,8 @@ def fit_isotropic_gmm(x, k: int, var_floor: float,
         means = (resp.T @ x) / nk_safe[:, None]
         d2 = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
         variances = np.maximum((resp * d2).sum(axis=0) / (2.0 * nk_safe), var_floor)
-        model = GmmModel(nk / n, means, variances, var_floor)
-        if prev_ll > -np.inf and abs(ll - prev_ll) < tol * abs(prev_ll):
+        model = GmmModel(nk / n, means, variances)
+        if prev_ll > -np.inf and abs(ll - prev_ll) < 1e-6 * abs(prev_ll):
             break
         prev_ll = ll
     return model, history

@@ -27,6 +27,8 @@ from .dataio import (
     write_synthetic,
 )
 from .evaluation import (
+    GOF_BURN_IN,
+    GOF_WINDOW,
     GmmStreamPredictor,
     SmcPredictor,
     alpha_precision_records,
@@ -198,8 +200,10 @@ def cmd_infer(args) -> int:
             prune_threshold=1e-12 if args.prune else 0.0,
         )
         system = ParticleSystem(hyper, engine)
-    system.run(posts, checkpoint_every=args.checkpoint_every,
-               checkpoint_path=args.checkpoint)
+    for post in posts:
+        system.step(post)
+        if args.checkpoint_every and system.n % args.checkpoint_every == 0:
+            system.save_checkpoint(args.checkpoint)
     if args.checkpoint:
         system.save_checkpoint(args.checkpoint)
     result = system.map_estimate()
@@ -216,6 +220,11 @@ def cmd_infer(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    inputs = {"nmi": ("assignments", "truth"), "delta-alpha": ("input", "truth")}
+    missing = [f"--{name}" for name in inputs.get(args.metric, ())
+               if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"evaluate {args.metric} needs {' and '.join(missing)}")
     conf = _resolve(args)
     if args.metric == "nmi":
         pred = read_assignments(args.assignments)
@@ -260,38 +269,36 @@ def cmd_evaluate(args) -> int:
                                  "trials"], rows)
         return 0
 
-    if args.metric == "delta-alpha":
-        data = _load_stream(args.input, 0)
-        truth_params = load_ground_truth(args.truth)
-        truth_labels = load_synthetic_labels(args.input)
-        n_rows = len(data.posts) + data.n_dropped_empty
-        if len(truth_labels) != n_rows:
-            raise ValueError(f"{args.input} has {len(truth_labels)} labelled "
-                             f"rows but {n_rows} valid posts")
-        hyper = _hyper_from(conf, vocab_size=data.vocab_size)
-        system = ParticleSystem(hyper, EngineConfig(seed=conf["seed"],
-                                                    prune_threshold=1e-12))
-        system.run(data.posts)
-        result = system.map_estimate()
-        # preprocessing drops posts left without words: label by source row
-        for post, i in zip(data.posts, data.source_indices):
-            post.label_true = truth_labels[i]
-        records = alpha_precision_records(result, data.posts, truth_params)
-        buckets = [(2, 5), (6, 20), (21, 100), (101, 10 ** 9)]
-        rows = []
-        for lo, hi in buckets:
-            deltas = [d for size, d in records if lo <= size <= hi]
-            med = float(np.median(deltas)) if deltas else float("nan")
-            label = f"{lo}-{hi}" if hi < 10 ** 9 else f">{lo - 1}"
-            rows.append((label, len(deltas), med))
-        print("bucket,count,median_delta_alpha")
-        for label, count, med in rows:
-            print(f"{label},{count},{med:.4f}")
-        if args.out:
-            write_csv(args.out, ["bucket", "count", "median_delta_alpha"], rows)
-        return 0
-
-    raise ValueError(f"unknown metric {args.metric!r}")
+    # delta-alpha
+    data = _load_stream(args.input, 0)
+    truth_params = load_ground_truth(args.truth)
+    truth_labels = load_synthetic_labels(args.input)
+    n_rows = len(data.posts) + data.n_dropped_empty
+    if len(truth_labels) != n_rows:
+        raise ValueError(f"{args.input} has {len(truth_labels)} labelled "
+                         f"rows but {n_rows} valid posts")
+    hyper = _hyper_from(conf, vocab_size=data.vocab_size)
+    system = ParticleSystem(hyper, EngineConfig(seed=conf["seed"],
+                                                prune_threshold=1e-12))
+    system.run(data.posts)
+    result = system.map_estimate()
+    # preprocessing drops posts left without words: label by source row
+    for post, i in zip(data.posts, data.source_indices):
+        post.label_true = truth_labels[i]
+    records = alpha_precision_records(result, data.posts, truth_params)
+    buckets = [(2, 5), (6, 20), (21, 100), (101, 10 ** 9)]
+    rows = []
+    for lo, hi in buckets:
+        deltas = [d for size, d in records if lo <= size <= hi]
+        med = float(np.median(deltas)) if deltas else float("nan")
+        label = f"{lo}-{hi}" if hi < 10 ** 9 else f">{lo - 1}"
+        rows.append((label, len(deltas), med))
+    print("bucket,count,median_delta_alpha")
+    for label, count, med in rows:
+        print(f"{label},{count},{med:.4f}")
+    if args.out:
+        write_csv(args.out, ["bucket", "count", "median_delta_alpha"], rows)
+    return 0
 
 
 def cmd_predict(args) -> int:
@@ -322,12 +329,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gof(args) -> int:
+    if args.tune_iters < 0:
+        raise ValueError(f"--tune-iters must be >= 0, got {args.tune_iters}")
     conf = _resolve(args)
     data = _load_stream(args.input, conf["top_k"])
-    needed = args.burn_in + args.window
-    if len(data.posts) < needed:
-        raise ValueError(f"goodness-of-fit needs >= {needed} posts, "
-                         f"got {len(data.posts)}")
     hyper = _hyper_from(conf, vocab_size=data.vocab_size)
     engine = EngineConfig(seed=conf["seed"], prune_threshold=1e-12)
     rows = []
@@ -348,7 +353,7 @@ def cmd_gof(args) -> int:
         # after each post
         counter = ParticleSystem(hyper, engine)
         schedule = []
-        for post in data.posts[:needed]:
+        for post in data.posts[:args.burn_in + args.window]:
             counter.step(post)
             schedule.append(counter.particles[int(np.argmax(counter.weights))].S)
         gmm = GmmStreamPredictor(schedule, 2.0 * hyper.beta_space,
@@ -438,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--top-k", type=int, default=None)
-    p.add_argument("--burn-in", type=int, default=500)
-    p.add_argument("--window", type=int, default=2000)
+    p.add_argument("--burn-in", type=int, default=GOF_BURN_IN)
+    p.add_argument("--window", type=int, default=GOF_WINDOW)
     p.add_argument("--with-gmm", action="store_true")
     p.add_argument("--with-dhp", action="store_true")
     p.add_argument("--tune-iters", type=int, default=8)

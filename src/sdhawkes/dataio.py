@@ -255,14 +255,14 @@ def export_results(result: ClusteringResult, out_dir,
                                       enumerate(result.assignments))}
 
     rows = []
-    for s in result.summaries:
+    for label, s in enumerate(result.summaries):
         if projection and not math.isnan(s.mean[0]):
             loc = projection.to_latlon(s.mean[0], s.mean[1])
         else:
             loc = s.mean
         words = "|".join(
             (vocab[w] if vocab else str(w)) for w, _ in s.top_words)
-        rows.append([s.label, s.size, f"{loc[0]:.8f}", f"{loc[1]:.8f}",
+        rows.append([label, s.size, f"{loc[0]:.8f}", f"{loc[1]:.8f}",
                      f"{s.scale:.8g}", f"{s.alpha:.8g}", f"{s.tau:.8g}",
                      f"{s.time_span:.8g}", words])
     loc_cols = ["mean_lat", "mean_lon"] if projection else ["mean_x", "mean_y"]
@@ -335,7 +335,17 @@ def load_ground_truth(truth_path):
 
 
 def load_synthetic_labels(posts_path) -> list[int]:
-    """True labels from a synthetic JSONL stream, in time order."""
+    """True labels from a synthetic JSONL stream, in time order. A row
+    whose label is missing or not an integer is refused, naming its line."""
+    rows = []
     with open(posts_path, encoding="utf-8") as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
-    return [int(row["label"]) for row in sorted(rows, key=lambda r: r["t"])]
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            row = json.loads(line)
+            label = row.get("label")
+            if not isinstance(label, int) or isinstance(label, bool):
+                raise ValueError(f"{posts_path} line {lineno}: label must be "
+                                 f"an integer, got {label!r}")
+            rows.append((row["t"], label))
+    return [label for _, label in sorted(rows, key=lambda r: r[0])]

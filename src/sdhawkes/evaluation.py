@@ -33,6 +33,10 @@ __all__ = [
 
 GOF_BURN_IN = 500
 GOF_WINDOW = 2000
+# the location-prediction protocol (location_prediction_protocol, rmse_selected)
+HIDE_FRAC = 0.02
+BURN_FRAC = 0.2
+TOP_FRAC = 0.04
 SIZE_FLOORS = {"loose": 7, "tight": 11}
 
 
@@ -118,29 +122,25 @@ class PredictionRecord:
 def location_prediction_protocol(posts, hyper: Hyperparams,
                                  config: EngineConfig | None = None,
                                  n_trials: int = 100,
-                                 hide_frac: float = 0.02,
-                                 burn_frac: float = 0.2,
                                  seed: int = 0) -> list[PredictionRecord]:
     """Hide-and-predict experiment.
 
-    Per trial: hide ``hide_frac`` of the posts (never from the leading
-    ``burn_frac`` of the stream), run inference with those locations
-    contributing no spatial information, then predict each hidden location
-    as the mean of the located posts in its assigned pattern. A post hidden
-    in several trials keeps the record from the trial whose pattern was
-    tightest (smallest scale estimate). A post whose pattern has no located
-    post gives no record.
+    Per trial: hide 2% of the posts (at least one, never from the leading
+    20% of the stream), run inference with those locations contributing no
+    spatial information, then predict each hidden location as the mean of
+    the located posts in its assigned pattern. A post hidden in several
+    trials keeps the record from the trial whose pattern was tightest
+    (smallest scale estimate). A post whose pattern has no located post
+    gives no record.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if not posts:
+        raise ValueError("no posts to hide locations from")
     n = len(posts)
-    burn = int(burn_frac * n)
-    if n < burn + 1 or burn >= n:
-        raise ValueError("dataset too small for the burn-in fraction")
-    eligible = np.arange(burn, n)
-    n_hide = max(1, round(hide_frac * n))
-    if n_hide > len(eligible):
-        raise ValueError("hide fraction exceeds the post-burn-in stream")
+    # every n >= 1 leaves at least n_hide posts past the burn-in
+    eligible = np.arange(int(BURN_FRAC * n), n)
+    n_hide = max(1, round(HIDE_FRAC * n))
     base_cfg = config or EngineConfig()
     seeds = np.random.SeedSequence(seed).spawn(n_trials)
     best: dict[int, PredictionRecord] = {}
@@ -171,13 +171,13 @@ def location_prediction_protocol(posts, hyper: Hyperparams,
 
 
 def rmse_selected(records, criterion: str, dataset_sigma: float,
-                  top_frac: float = 0.04, seed: int = 0) -> float | None:
+                  seed: int = 0) -> float | None:
     """Normalized RMSE over the most-confident predictions.
 
     Records are ordered by pattern tightness (ties broken toward larger
     patterns, then randomly with a seeded generator), records in patterns
     below the criterion's size floor are discarded, and the RMSE of the top
-    ``top_frac`` of the survivors is divided by ``dataset_sigma``. Returns
+    4% of the survivors (at least one) is divided by ``dataset_sigma``. Returns
     None when nothing survives the floor.
     """
     if not records:
@@ -189,7 +189,7 @@ def rmse_selected(records, criterion: str, dataset_sigma: float,
     survivors = [r for _, _, _, r in keyed if r.pattern_size >= floor]
     if not survivors:
         return None
-    k = max(1, math.ceil(top_frac * len(survivors)))
+    k = max(1, math.ceil(TOP_FRAC * len(survivors)))
     top = survivors[:k]
     mse = sum(r.error ** 2 for r in top) / len(top)
     return math.sqrt(mse) / dataset_sigma
@@ -290,11 +290,12 @@ def perplexity(posts, predictor, burn_in: int = GOF_BURN_IN,
 
 
 def tune_dhp_lambda0(posts_prefix, hyper: Hyperparams, target_patterns: int,
-                     config: EngineConfig | None = None, iters: int = 12,
-                     span: float = 100.0) -> float:
+                     config: EngineConfig | None = None, iters: int = 12) -> float:
     """Bisection over lambda0 so the content+time model infers about
     ``target_patterns`` patterns on the prefix (pattern count grows with
-    lambda0)."""
+    lambda0), in ``iters`` steps within a factor of 100 of hyper.lambda0."""
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
     cfg = replace(config or EngineConfig(), spatial=False)
 
     def count(lam0: float) -> int:
@@ -303,8 +304,8 @@ def tune_dhp_lambda0(posts_prefix, hyper: Hyperparams, target_patterns: int,
         best = int(np.argmax(system.weights))
         return system.particles[best].S
 
-    lo = hyper.lambda0 / span
-    hi = hyper.lambda0 * span
+    lo = hyper.lambda0 / 100.0
+    hi = hyper.lambda0 * 100.0
     best_lam, best_err = hyper.lambda0, abs(count(hyper.lambda0) - target_patterns)
     for _ in range(iters):
         mid = math.sqrt(lo * hi)

@@ -92,14 +92,14 @@ class _LivePattern:
 
 
 class GenerativeState:
-    """Mutable sampler state: live patterns, their params, the clock."""
+    """Mutable sampler state: live patterns, the params of every pattern
+    created so far (labels 0..len(params)-1), the clock."""
 
     def __init__(self, hyper: Hyperparams):
         self.hyper = hyper
         self.t = 0.0
         self.live: dict[int, _LivePattern] = {}
         self.params: dict[int, PatternParams] = {}
-        self.n_patterns = 0
 
     def total_intensity(self, t: float) -> float:
         return self.hyper.lambda0 + sum(p.intensity(t) for p in self.live.values())
@@ -159,11 +159,10 @@ def sample_assignment(state: GenerativeState, t: float, lam: float,
             acc += live.intensity(t)
             if u <= acc:
                 return label
-    label = state.n_patterns
+    label = len(state.params)
     params = _draw_pattern_params(config, rng)
     state.params[label] = params
     state.live[label] = _LivePattern(params)
-    state.n_patterns += 1
     return label
 
 

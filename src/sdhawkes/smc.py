@@ -174,17 +174,12 @@ class ParticleSystem:
         w = np.exp(self.log_weights)
         self.weights = w / w.sum()
 
-    def run(self, posts, hidden: set[int] | None = None,
-            checkpoint_every: int | None = None,
-            checkpoint_path=None) -> "ParticleSystem":
+    def run(self, posts, hidden: set[int] | None = None) -> "ParticleSystem":
         """Process a chronological stream; indices in ``hidden`` contribute
-        no location information."""
+        no location information. Mid-stream checkpoints are the caller's."""
         for post in posts:
             observe = hidden is None or self.n not in hidden
             self.step(post, observe_location=observe)
-            if (checkpoint_every and checkpoint_path
-                    and self.n % checkpoint_every == 0):
-                self.save_checkpoint(checkpoint_path)
         return self
 
     def predictive_logdensity(self, post: GeoPost, kind: str) -> float:
@@ -246,7 +241,7 @@ class ParticleSystem:
         refit = self.config.fixed_kernel is None and self.config.refit_all
         summaries = [None] * particle.S  # labels are 0..S-1, each used
         for label, stats, t_fit in last_scored:
-            summary = pattern_summary(stats, self.hyper.beta_space, label=label)
+            summary = pattern_summary(stats, self.hyper.beta_space)
             if refit and stats.n_posts >= 2:
                 summary.alpha, summary.tau, _ = fit_kernel(stats, t_fit, self.hyper)
             summaries[label] = summary
@@ -479,25 +474,18 @@ def _logsumexp(values: list[float]) -> float:
 
 
 def proposal_distribution(particle: Particle, post: GeoPost, hyper: Hyperparams,
-                          config: EngineConfig | None = None,
-                          system: ParticleSystem | None = None,
+                          *, system: ParticleSystem,
                           observe_location: bool = True):
-    """Assignment proposal for one post under one particle.
+    """Assignment proposal for one post under one particle of ``system``.
 
     Returns (labels, probs, log_q): probs has one entry per label plus a
     final entry for "new"; log_q is the log of the pre-normalization sum
-    over candidates of prior * content * spatial. Kernel options and the
-    previous post time come from ``system`` when given; otherwise from
-    ``config`` and the particle's latest event.
+    over candidates of prior * content * spatial. The kernel options and
+    the previous post time are the system's.
     """
-    if system is not None:
-        config = system.config
-        t_prev = system.t_last
-    else:
-        config = config or EngineConfig()
-        t_prev = max((s.t_ref for s in particle.patterns.values()), default=0.0)
+    config = system.config
     [(labels, scores, lam_t, _, _)] = score_candidates(
-        [particle], post, hyper, config, t_prev,
+        [particle], post, hyper, config, system.t_last,
         spatial=config.spatial and observe_location)
     m = max(scores)
     exps = [exp(s - m) for s in scores]
@@ -506,18 +494,16 @@ def proposal_distribution(particle: Particle, post: GeoPost, hyper: Hyperparams,
 
 
 def incremental_weight(particle: Particle, post: GeoPost, log_q: float,
-                       hyper: Hyperparams, t_prev: float,
-                       config: EngineConfig | None = None,
-                       system: ParticleSystem | None = None) -> float:
+                       hyper: Hyperparams, t_prev: float, *,
+                       system: ParticleSystem) -> float:
     """Log of the weight multiplier p(t_n | history) * Q_n.
 
     p(t_n | history) = lambda(t_n) * exp(-integral of lambda over
     [t_prev, t_n]), with the integral lambda0*(t_n - t_prev) plus each
-    pattern's compensator increment.
+    pattern's compensator increment, under the system's kernel options.
     """
-    config = system.config if system is not None else (config or EngineConfig())
     [(_, _, lam_t, big_lambda, _)] = score_candidates(
-        [particle], post, hyper, config, t_prev, content=False, spatial=False)
+        [particle], post, hyper, system.config, t_prev, content=False, spatial=False)
     return log(lam_t) - big_lambda + log_q
 
 

@@ -267,7 +267,6 @@ class Particle:
 
 @dataclass(slots=True)
 class PatternSummary:
-    label: int
     size: int
     mean: tuple[float, float]
     scale: float
@@ -283,7 +282,7 @@ class ClusteringResult:
     ``map_estimate`` refit) and the final particle weights.
 
     The MAP labels are 0..S-1 and each holds a post, so ``summaries`` is in
-    label order: ``summaries[k].label == k``.
+    label order: ``summaries[k]`` describes label k.
     """
 
     assignments: list[int]
@@ -291,9 +290,9 @@ class ClusteringResult:
     weights: list[float]
 
 
-def pattern_summary(stats: PatternStats, beta_space: float, label: int = 0,
-                    top_k: int = 10) -> PatternSummary:
-    """Condense one pattern: size, spatial mean/scale, kernel, top words.
+def pattern_summary(stats: PatternStats, beta_space: float) -> PatternSummary:
+    """Condense one pattern: size, spatial mean/scale, kernel, and its 10
+    most frequent words (ties toward the lower word id).
 
     The spatial mean of the located posts is the point prediction for a
     hidden location; the per-axis scale sqrt(xi / n) ranks patterns by
@@ -307,9 +306,8 @@ def pattern_summary(stats: PatternStats, beta_space: float, label: int = 0,
     else:
         mean = (math.nan, math.nan)
         scale = math.nan
-    top = sorted(stats.word_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+    top = sorted(stats.word_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
     return PatternSummary(
-        label=label,
         size=stats.n_posts,
         mean=mean,
         scale=scale,

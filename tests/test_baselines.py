@@ -52,7 +52,7 @@ def test_shared_location_proposals_coincide_on_existing():
     # when every existing pattern has identical spatial statistics, the
     # spatial factor is a single constant across them, so SDHP and DHP
     # proposal odds between existing patterns match
-    from sdhawkes.smc import proposal_distribution
+    from sdhawkes.smc import ParticleSystem, proposal_distribution
     from sdhawkes.types import GeoPost, Particle, PatternStats
 
     hyper = base_hyper(vocab_size=6, n_particles=1)
@@ -65,8 +65,10 @@ def test_shared_location_proposals_coincide_on_existing():
     post = GeoPost(t=0.8, words=[1], x=loc[0], y=loc[1])
     probs = {}
     for name, spatial in (("sdhp", True), ("dhp", False)):
-        config = EngineConfig(spatial=spatial, fixed_kernel=(1.0, 1.0))
-        _, p, _ = proposal_distribution(particle, post, hyper, config=config)
+        system = ParticleSystem(hyper, EngineConfig(spatial=spatial,
+                                                    fixed_kernel=(1.0, 1.0)))
+        system.t_last = 0.3  # the latest existing post
+        _, p, _ = proposal_distribution(particle, post, hyper, system=system)
         probs[name] = p
     s, d = probs["sdhp"], probs["dhp"]
     assert s[0] / s[1] == pytest.approx(d[0] / d[1], rel=1e-9)
@@ -129,7 +131,7 @@ def test_gmm_em_loglik_nondecreasing():
 
 def test_gmm_predictive_peak_value():
     model = GmmModel(weights=np.array([1.0]), means=np.array([[0.3, -0.2]]),
-                     variances=np.array([1.0]), var_floor=1e-6)
+                     variances=np.array([1.0]))
     got = gmm_predictive_logdensity(model, (0.3, -0.2))
     assert got == pytest.approx(math.log(1.0 / (2.0 * math.pi)))
 
@@ -137,7 +139,7 @@ def test_gmm_predictive_peak_value():
 def test_gmm_predictive_integrates_to_one():
     model = GmmModel(weights=np.array([0.4, 0.6]),
                      means=np.array([[0.0, 0.0], [2.0, 1.0]]),
-                     variances=np.array([0.5, 1.2]), var_floor=1e-6)
+                     variances=np.array([0.5, 1.2]))
     mass, _ = dblquad(
         lambda y, x: math.exp(gmm_predictive_logdensity(model, (x, y))),
         -12.0, 14.0, lambda _: -12.0, lambda _: 13.0, epsabs=1e-6)
@@ -147,12 +149,12 @@ def test_gmm_predictive_integrates_to_one():
 def test_gmm_mixture_dominates_components():
     model = GmmModel(weights=np.array([0.3, 0.7]),
                      means=np.array([[0.0, 0.0], [1.0, 1.0]]),
-                     variances=np.array([0.4, 0.9]), var_floor=1e-6)
+                     variances=np.array([0.4, 0.9]))
     r = (0.5, 0.2)
     mix = math.exp(gmm_predictive_logdensity(model, r))
     for j in range(2):
         single = GmmModel(weights=np.array([1.0]), means=model.means[j:j+1],
-                          variances=model.variances[j:j+1], var_floor=1e-6)
+                          variances=model.variances[j:j+1])
         comp = math.exp(gmm_predictive_logdensity(single, r))
         assert mix >= model.weights[j] * comp - 1e-12
 

@@ -404,3 +404,65 @@ def test_delta_alpha_refuses_label_count_mismatch(tmp_path, capsys):
     assert run_cli("evaluate", "delta-alpha", "--input", posts_path, "--truth",
                    truth, "--particles", 2) == 1
     assert "120 labelled rows but 119 valid posts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metric", ["nmi", "delta-alpha"])
+@pytest.mark.parametrize("bad", [None, "two"], ids=["missing", "not-integer"])
+def test_evaluate_names_truth_row_without_integer_label(tmp_path, capsys,
+                                                        metric, bad):
+    posts_path, truth = gen_args(tmp_path, n=40, seed=19)
+    rows = [json.loads(line) for line in posts_path.read_text().splitlines()]
+    if bad is None:
+        del rows[3]["label"]
+    else:
+        rows[3]["label"] = bad
+    posts_path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assignments = tmp_path / "assignments.csv"
+    assignments.write_text("post_index,label\n"
+                           + "".join(f"{i},0\n" for i in range(40)))
+    flags = (("--assignments", assignments, "--truth", posts_path)
+             if metric == "nmi" else ("--input", posts_path, "--truth", truth))
+    capsys.readouterr()
+    assert run_cli("evaluate", metric, *flags, "--particles", 2) == 1
+    assert (f"{posts_path} line 4: label must be an integer, got {bad!r}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("nmi", "--truth", "p.jsonl"), "evaluate nmi needs --assignments"),
+    (("nmi",), "evaluate nmi needs --assignments and --truth"),
+    (("delta-alpha", "--input", "p.jsonl"), "evaluate delta-alpha needs --truth"),
+    (("delta-alpha", "--truth", "t.csv"), "evaluate delta-alpha needs --input"),
+])
+def test_evaluate_names_missing_input_flags(tmp_path, capsys, argv, named):
+    # the config file does not exist: the refusal comes before any file is read
+    capsys.readouterr()
+    assert run_cli("evaluate", *argv, "--config", tmp_path / "absent.json") == 1
+    assert f"error: {named}\n" in capsys.readouterr().err
+
+
+def test_gof_refuses_negative_tune_iters_before_any_work(tmp_path, capsys):
+    out = tmp_path / "gof.csv"
+    capsys.readouterr()
+    assert run_cli("gof", "--input", tmp_path / "absent.jsonl", "--with-dhp",
+                   "--tune-iters", -3, "--out", out) == 1
+    assert "--tune-iters must be >= 0, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_infer_checkpoint_cadence(tmp_path, monkeypatch):
+    posts, _ = gen_args(tmp_path, n=100, seed=6)
+    saved_at = []
+    save = ParticleSystem.save_checkpoint
+
+    def recording_save(self, path):
+        saved_at.append(self.n)
+        save(self, path)
+
+    monkeypatch.setattr(ParticleSystem, "save_checkpoint", recording_save)
+    assert run_cli("infer", "--input", posts, "--out-dir", tmp_path / "run",
+                   "--seed", 6, "--top-k", 0, "--particles", 2,
+                   "--checkpoint", tmp_path / "ck.json",
+                   "--checkpoint-every", 40) == 0
+    # every 40th post, then the final save
+    assert saved_at == [40, 80, 100]

@@ -92,9 +92,13 @@ def test_pattern_summary_basics():
 
 
 def test_pattern_summary_top_words():
-    stats = build_stats(times=[0.0], docs=[[0, 0, 0, 1]])
-    s = pattern_summary(stats, beta_space=0.5, top_k=1)
-    assert s.top_words == [(0, 3)]
+    # 12 distinct words, word w occurring 12 - w times, except that word 10
+    # ties word 9 at the tenth place: the cut keeps ten, ties toward the
+    # lower id
+    doc = [w for w in reversed(range(12)) for _ in range(12 - w)] + [10]
+    stats = build_stats(times=[0.0], docs=[doc])
+    s = pattern_summary(stats, beta_space=0.5)
+    assert s.top_words == [(w, 12 - w) for w in range(10)]
 
 
 def test_pattern_summary_empty_errors():

@@ -197,8 +197,8 @@ def test_prediction_protocol_too_small_errors():
     posts = generate(SynthConfig(hyper=hyper, n_posts=10, seed=6)).posts
     with pytest.raises(ValueError):
         location_prediction_protocol([], hyper, n_trials=1)
-    with pytest.raises(ValueError):
-        location_prediction_protocol(posts, hyper, n_trials=1, hide_frac=0.9)
+    # one post is enough: it is hidden, and its pattern has no located post
+    assert location_prediction_protocol(posts[:1], hyper, n_trials=1) == []
 
 
 @pytest.mark.parametrize("n_trials", [0, -3])
@@ -313,3 +313,11 @@ def test_alpha_precision_records_shape():
     for size, delta in records:
         assert size >= 2
         assert 0.0 <= delta <= 2.0
+
+
+def test_tune_dhp_lambda0_refuses_negative_iters():
+    hyper = base_hyper(n_particles=1)
+    posts = generate(SynthConfig(hyper=hyper, n_posts=20, seed=10)).posts
+    with pytest.raises(ValueError, match="iters must be >= 0, got -3"):
+        tune_dhp_lambda0(posts, hyper, 5, iters=-3)
+    assert tune_dhp_lambda0(posts, hyper, 5, iters=0) == hyper.lambda0

@@ -168,7 +168,6 @@ def test_new_pattern_frequency_monte_carlo():
         live.add_event(0.0)
         live.add_event(0.5)
         state.live[0] = live
-        state.n_patterns = 1
         lam = state.total_intensity(t_query)
         if sample_assignment(state, t_query, lam, cfg, rng) == 1:
             new_count += 1
