@@ -188,6 +188,10 @@ def cmd_infer(args) -> int:
         if data.vocab_size != system.hyper.vocab_size:
             raise ValueError(f"input vocabulary has {data.vocab_size} words, the "
                              f"checkpoint's has {system.hyper.vocab_size}")
+        # catches a different --top-k, vocabulary or projection, or an edited row
+        for i, (post, (saved, _)) in enumerate(zip(data.posts, system.posts())):
+            if (post.t, post.words, post.x, post.y) != (saved.t, saved.words, saved.x, saved.y):
+                raise ValueError(f"input post {i} differs from post {i} of the checkpoint")
         posts = data.posts[system.n:]
     else:
         data = _load_stream(args.input, conf["top_k"])

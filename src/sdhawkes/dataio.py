@@ -335,17 +335,25 @@ def load_ground_truth(truth_path):
 
 
 def load_synthetic_labels(posts_path) -> list[int]:
-    """True labels from a synthetic JSONL stream, in time order. A row
-    whose label is missing or not an integer is refused, naming its line."""
+    """True labels from a synthetic JSONL stream, in time order. A line that
+    is not a JSON object, or whose label is not an integer or t not a
+    number, is refused, naming it."""
     rows = []
     with open(posts_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            row = json.loads(line)
-            label = row.get("label")
+            where = f"{posts_path} line {lineno}"
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError:
+                row = None
+            if not isinstance(row, dict):
+                raise ValueError(f"{where}: not a JSON object")
+            label, t = row.get("label"), row.get("t")
             if not isinstance(label, int) or isinstance(label, bool):
-                raise ValueError(f"{posts_path} line {lineno}: label must be "
-                                 f"an integer, got {label!r}")
-            rows.append((row["t"], label))
+                raise ValueError(f"{where}: label must be an integer, got {label!r}")
+            if not isinstance(t, (int, float)) or isinstance(t, bool):
+                raise ValueError(f"{where}: t must be a number, got {t!r}")
+            rows.append((t, label))
     return [label for _, label in sorted(rows, key=lambda r: r[0])]

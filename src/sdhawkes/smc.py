@@ -14,8 +14,10 @@ call it.
 Particles use copy-on-write state: pattern statistics are shared between
 resampled offspring until one of them mutates, assignment histories are
 shared cons chains, and (optionally) patterns whose possible intensity
-contribution has decayed to nothing move, uncopied, to a shared archive.
-This keeps the per-post cost proportional to the number of *live* patterns.
+contribution has decayed to nothing retire to a shared archive that keeps
+only their final ``PatternSummary``. This keeps the per-post cost, and the
+statistics held, proportional to the number of *live* patterns. Statistics
+are never written to a checkpoint: loading replays them from the posts.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .types import (
     Hyperparams,
     Particle,
     PatternStats,
+    PatternSummary,
     pattern_summary,
 )
 
@@ -50,7 +53,7 @@ __all__ = [
     "incremental_weight",
 ]
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 @dataclass(slots=True)
@@ -94,6 +97,8 @@ class ParticleSystem:
             self.cache_taus = hyper.psi_tau
         self.n = 0
         self.t_last = 0.0
+        # the stepped posts, newest first: a cons chain (post, observed, next)
+        self.post_tail: tuple | None = None
         self.particles = [Particle() for _ in range(hyper.n_particles)]
         self.log_weights = np.zeros(hyper.n_particles)
         self.weights = np.full(hyper.n_particles, 1.0 / hyper.n_particles)
@@ -114,22 +119,23 @@ class ParticleSystem:
         if t < self.t_last:
             raise ValueError(f"out-of-order post: t={t} < {self.t_last}")
         cfg = self.config
-        psi = self.cache_taus
         t_prev = self.t_last
         spatial_obs = cfg.spatial and observe_location
         prune_abs = cfg.prune_threshold * hyper.lambda0
-        alpha_new, tau_new = cfg.fixed_kernel or (hyper.alpha_time / hyper.beta_time, psi[0])
 
         scored = score_candidates(self.particles, post, hyper, cfg, t_prev,
                                   spatial=spatial_obs, prune_abs=prune_abs)
+        # the prune test reads only the (shared) statistics and the clock, so
+        # particles sharing a pattern retire it together: freeze it once
+        frozen: dict[PatternStats, PatternSummary] = {}
         for p_idx, (particle, (labels, scores, _, big_lambda, prune)) in enumerate(
                 zip(self.particles, scored)):
             rng = self.rngs[p_idx]
-            patterns = particle.patterns
-            # a retired pattern is never written again, so the archive may
-            # hold the (possibly shared) object itself
             for label in prune:
-                particle.archive = (label, patterns.pop(label), particle.archive, t_prev)
+                stats = particle.patterns.pop(label)
+                if stats not in frozen:
+                    frozen[stats] = self._summary(stats, t_prev)
+                particle.archive = (label, frozen[stats], particle.archive)
 
             m = max(scores)
             exps = [exp(s - m) for s in scores]
@@ -145,21 +151,10 @@ class ParticleSystem:
                 if u <= acc:
                     choice = i
                     break
+            label = particle.S if choice == len(scores) - 1 else labels[choice]
+            self._attach(particle, label, post, observe_location)
 
-            if choice == len(scores) - 1:
-                label = particle.S
-                particle.S += 1
-                stats = PatternStats(len(psi), alpha_new, tau_new, 0, owner=particle.token)
-                patterns[label] = stats
-            else:
-                label = labels[choice]
-                stats = particle.writable(label)
-            stats.attach(t, post.words, post.x, post.y, psi,
-                         with_location=observe_location)
-            if stats.n_posts >= 2 and cfg.fixed_kernel is None:
-                stats.alpha, stats.tau, stats.tau_idx = fit_kernel(stats, t, hyper)
-            particle.record_assignment(label)
-
+        self.post_tail = (post, observe_location, self.post_tail)
         self.n += 1
         self.t_last = t
         self._normalize()
@@ -167,6 +162,42 @@ class ParticleSystem:
         if n_p > 1 and ess(self.weights) < hyper.kappa_thresh * n_p:
             systematic_resample(self)
         return self
+
+    def _attach(self, particle: Particle, label: int, post: GeoPost,
+                observed: bool) -> None:
+        """Add ``post`` to pattern ``label`` (new if it is ``particle.S``),
+        refit its stored kernel unless fixed, and record the assignment."""
+        hyper = self.hyper
+        psi = self.cache_taus
+        fixed = self.config.fixed_kernel
+        if label == particle.S:
+            alpha, tau = fixed or (hyper.alpha_time / hyper.beta_time, psi[0])
+            stats = PatternStats(len(psi), alpha, tau, 0, owner=particle.token)
+            particle.patterns[label] = stats
+            particle.S += 1
+        else:
+            stats = particle.writable(label)
+        stats.attach(post.t, post.words, post.x, post.y, psi, with_location=observed)
+        if stats.n_posts >= 2 and fixed is None:
+            stats.alpha, stats.tau, stats.tau_idx = fit_kernel(stats, post.t, hyper)
+        particle.record_assignment(label)
+
+    def _summary(self, stats: PatternStats, t_fit: float) -> PatternSummary:
+        """``pattern_summary`` of a pattern last scored at ``t_fit``; with
+        refitting on, its kernel is refit at that time."""
+        summary = pattern_summary(stats, self.hyper.beta_space)
+        if self.config.fixed_kernel is None and self.config.refit_all and stats.n_posts >= 2:
+            summary.alpha, summary.tau, _ = fit_kernel(stats, t_fit, self.hyper)
+        return summary
+
+    def posts(self) -> list[tuple[GeoPost, bool]]:
+        """The stepped posts, oldest first, each with whether its location was observed."""
+        out = []
+        node = self.post_tail
+        while node is not None:
+            out.append(node[:2])
+            node = node[2]
+        return out[::-1]
 
     def _normalize(self) -> None:
         m = float(np.max(self.log_weights))
@@ -218,8 +249,9 @@ class ParticleSystem:
         index). Pooling matters: an individual particle's weight is a
         path-wise evidence product, which does not rank hypotheses by
         posterior mass once particle counts grow.
-        With refitting on, each kernel is refit at the time the pattern was
-        last scored: the latest post if live, its retirement time if pruned.
+        Live patterns are summarized at the latest post (with refitting on,
+        each kernel is refit there); a retired pattern's summary was frozen
+        when it was last scored and is read as it is.
         """
         if self.n < 1:
             raise ValueError("no posts processed")
@@ -232,19 +264,12 @@ class ParticleSystem:
         # keys are in first-particle order and max keeps the first of equals
         best_key = max(mass, key=mass.get)
         particle = first[best_key]
-        last_scored = [(label, stats, self.t_last)
-                       for label, stats in particle.patterns.items()]
+        summaries = [None] * particle.S  # labels are 0..S-1, each used
+        for label, stats in particle.patterns.items():
+            summaries[label] = self._summary(stats, self.t_last)
         node = particle.archive
         while node is not None:
-            label, stats, node, t_retired = node
-            last_scored.append((label, stats, t_retired))
-        refit = self.config.fixed_kernel is None and self.config.refit_all
-        summaries = [None] * particle.S  # labels are 0..S-1, each used
-        for label, stats, t_fit in last_scored:
-            summary = pattern_summary(stats, self.hyper.beta_space)
-            if refit and stats.n_posts >= 2:
-                summary.alpha, summary.tau, _ = fit_kernel(stats, t_fit, self.hyper)
-            summaries[label] = summary
+            label, summaries[label], node = node
         return ClusteringResult(
             assignments=list(best_key),
             summaries=summaries,
@@ -255,42 +280,35 @@ class ParticleSystem:
     # checkpointing
 
     def save_checkpoint(self, path) -> None:
-        # each distinct pattern object is one "stats" row that particles
-        # refer to by index, so loading restores copy-on-write sharing
-        rows: dict[int, int] = {}  # id(stats) -> row index
-        stats_rows: list[dict] = []
-
-        def row(stats: PatternStats) -> int:
-            if id(stats) not in rows:
-                rows[id(stats)] = len(stats_rows)
-                stats_rows.append({name: getattr(stats, name) for name in _STATS_STATE})
-            return rows[id(stats)]
-
+        """Atomically write the stepped posts, each particle's assignments and
+        archive, the weights and the random states to ``path``."""
+        # each distinct archived summary is one row that archives refer to by
+        # index, so loading restores the sharing
+        rows: dict[int, int] = {}  # id(summary) -> row index
+        summary_rows: list[list] = []
         particles = []
         for particle in self.particles:
             archive = []
             node = particle.archive
             while node is not None:
-                label, stats, node, t_retired = node
-                archive.append([label, row(stats), t_retired])
-            particles.append({
-                "S": particle.S,
-                "assignments": particle.assignments(),
-                "patterns": [[label, row(stats)]
-                             for label, stats in particle.patterns.items()],
-                "archive": archive,
-            })
+                label, summary, node = node
+                if id(summary) not in rows:
+                    rows[id(summary)] = len(summary_rows)
+                    summary_rows.append([getattr(summary, name)
+                                         for name in PatternSummary.__slots__])
+                archive.append([label, rows[id(summary)]])
+            particles.append({"assignments": particle.assignments(), "archive": archive})
         payload = {
             "version": CHECKPOINT_VERSION,
-            "n": self.n,
-            "t_last": self.t_last,
             "n_resamples": self.n_resamples,
             "hyper": asdict(self.hyper),
             "config": asdict(self.config),
             "log_weights": [float(v) for v in self.log_weights],
             "resample_rng": self.resample_rng.bit_generator.state,
             "rngs": [r.bit_generator.state for r in self.rngs],
-            "stats": stats_rows,
+            "posts": [[post.t, [int(w) for w in post.words], post.x, post.y, observed]
+                      for post, observed in self.posts()],
+            "summaries": summary_rows,
             "particles": particles,
         }
         # write a sibling file, then rename over the target, so a crash
@@ -298,7 +316,7 @@ class ParticleSystem:
         tmp = f"{os.fspath(path)}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
+                fh.write(json.dumps(payload))
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(FileNotFoundError):
@@ -307,29 +325,69 @@ class ParticleSystem:
 
     @classmethod
     def load_checkpoint(cls, path) -> "ParticleSystem":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
-        hyper_d = dict(payload["hyper"])
-        hyper_d["psi_tau"] = tuple(hyper_d["psi_tau"])
-        hyper = Hyperparams(**hyper_d)
-        config_d = dict(payload["config"])
-        if config_d.get("fixed_kernel") is not None:
-            config_d["fixed_kernel"] = tuple(config_d["fixed_kernel"])
-        system = cls(hyper, EngineConfig(**config_d))
-        system.n = payload["n"]
-        system.t_last = payload["t_last"]
-        system.n_resamples = payload["n_resamples"]
-        system.log_weights = np.array(payload["log_weights"], dtype=float)
-        w = np.exp(system.log_weights)
-        system.weights = w / w.sum()
-        system.resample_rng.bit_generator.state = payload["resample_rng"]
-        for rng, state in zip(system.rngs, payload["rngs"]):
-            rng.bit_generator.state = state
-        # unowned, so a particle's first write copies, as after resampling
-        stats = [_stats_from_payload(row) for row in payload["stats"]]
-        system.particles = [_particle_from_payload(p, stats) for p in payload["particles"]]
+        """Rebuild a system written by ``save_checkpoint``, replaying each
+        particle's live patterns from its assignments of the saved posts.
+        Raises ValueError naming ``path`` if it is not a valid checkpoint."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+            if not isinstance(payload, dict) or payload.get("version") != CHECKPOINT_VERSION:
+                raise ValueError(f"not a JSON object of version {CHECKPOINT_VERSION}")
+            hyper = Hyperparams(**{**payload["hyper"],
+                                   "psi_tau": tuple(payload["hyper"]["psi_tau"])})
+            config_d = dict(payload["config"])
+            if config_d.get("fixed_kernel") is not None:
+                config_d["fixed_kernel"] = tuple(config_d["fixed_kernel"])
+            system = cls(hyper, EngineConfig(**config_d))
+            posts = [(GeoPost(t, words, x, y), observed)
+                     for t, words, x, y, observed in payload["posts"]]
+            for i, (post, observed) in enumerate(posts):
+                try:
+                    post.validate(hyper.vocab_size, with_location=observed)
+                except ValueError as exc:
+                    raise ValueError(f"post {i}: {exc}") from None
+                system.post_tail = (post, observed, system.post_tail)
+                system.t_last = post.t
+            summaries = [PatternSummary(size, tuple(mean), scale, alpha, tau, span,
+                                        [tuple(kv) for kv in top])
+                         for size, mean, scale, alpha, tau, span, top in payload["summaries"]]
+            counts = {len(payload[k]) for k in ("particles", "rngs", "log_weights")}
+            if counts != {hyper.n_particles}:
+                raise ValueError(f"particles, rngs and log_weights must each number "
+                                 f"n_particles = {hyper.n_particles}")
+            for i, (particle, saved) in enumerate(zip(system.particles, payload["particles"])):
+                if len(saved["assignments"]) != len(posts):
+                    raise ValueError(f"particle {i}: {len(saved['assignments'])} "
+                                     f"assignments for {len(posts)} posts")
+                for label, row in reversed(saved["archive"]):
+                    if not 0 <= row < len(summaries):
+                        raise ValueError(f"particle {i}: summary row {row} out of range")
+                    particle.archive = (label, summaries[row], particle.archive)
+                retired = {label for label, _ in saved["archive"]}
+                # a label is new where it first appears, so it is at most S;
+                # posts of retired labels leave no live statistics
+                for (post, observed), label in zip(posts, saved["assignments"]):
+                    if not (isinstance(label, int) and 0 <= label <= particle.S):
+                        raise ValueError(f"particle {i}: label {label!r} out of range")
+                    if label in retired:
+                        particle.S = max(particle.S, label + 1)
+                        particle.record_assignment(label)
+                    else:
+                        system._attach(particle, label, post, observed)
+                if not retired <= set(range(particle.S)):
+                    raise ValueError(f"particle {i}: archived label out of range")
+            system.n = len(posts)
+            system.n_resamples = payload["n_resamples"]
+            system.log_weights = np.array(payload["log_weights"], dtype=float)
+            w = np.exp(system.log_weights)
+            system.weights = w / w.sum()
+            system.resample_rng.bit_generator.state = payload["resample_rng"]
+            for rng, state in zip(system.rngs, payload["rngs"]):
+                rng.bit_generator.state = state
+        except KeyError as exc:
+            raise ValueError(f"checkpoint {path}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"checkpoint {path}: {exc}") from None
         return system
 
 
@@ -505,33 +563,3 @@ def incremental_weight(particle: Particle, post: GeoPost, log_q: float,
     [(_, _, lam_t, big_lambda, _)] = score_candidates(
         [particle], post, hyper, system.config, t_prev, content=False, spatial=False)
     return log(lam_t) - big_lambda + log_q
-
-
-# ----------------------------------------------------------------------
-# checkpoint serialization helpers
-
-# a pattern's checkpointed state: every PatternStats field but the
-# copy-on-write token
-_STATS_STATE = tuple(name for name in PatternStats.__slots__ if name != "owner")
-
-
-def _stats_from_payload(payload: dict) -> PatternStats:
-    stats = PatternStats.__new__(PatternStats)
-    stats.owner = None
-    for name in _STATS_STATE:
-        setattr(stats, name, payload[name])
-    # JSON object keys are strings; word ids are ints
-    stats.word_counts = {int(k): v for k, v in stats.word_counts.items()}
-    return stats
-
-
-def _particle_from_payload(payload: dict, stats: list[PatternStats]) -> Particle:
-    particle = Particle()
-    particle.S = payload["S"]
-    for label in payload["assignments"]:
-        particle.record_assignment(label)
-    for label, row in payload["patterns"]:
-        particle.patterns[label] = stats[row]
-    for label, row, t_retired in reversed(payload["archive"]):
-        particle.archive = (label, stats[row], particle.archive, t_retired)
-    return particle

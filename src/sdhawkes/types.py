@@ -112,9 +112,11 @@ class PatternStats:
     ``pattern_summary``'s time span reads it, but ``copy`` copies it, so a
     copy-on-write copy costs O(pattern size).
 
-    ``alpha``/``tau`` hold the kernel as of the last attach (``map_estimate``
-    refits at the last scored time); ``owner`` is a copy-on-write token
-    managed by the particle system, and an unowned object is never written.
+    ``alpha``/``tau`` hold the kernel as of the last attach; ``owner`` is a
+    copy-on-write token managed by the particle system, and an unowned
+    object is never written. The statistics are derived state: the engine
+    holds them for live patterns only, and a checkpoint replays them from
+    the posts instead of storing them.
     """
 
     __slots__ = (
@@ -194,7 +196,7 @@ class PatternStats:
         self.n_posts += 1
 
         wc = self.word_counts
-        for w in map(int, words):  # plain int keys survive a JSON round trip
+        for w in map(int, words):  # plain int keys, whatever the id type
             wc[w] = wc.get(w, 0) + 1
         self.total_words += len(words)
 
@@ -221,9 +223,10 @@ class Particle:
 
     The assignment history is a shared cons chain (label, parent) so cloning
     a particle is O(1) in the history length; ``patterns`` maps label ->
-    PatternStats with copy-on-write semantics via the ``token`` object, and
-    ``archive`` is a shared cons chain (label, stats, next, t_retired) of
-    patterns retired by pruning, each last scored at ``t_retired``.
+    PatternStats of the live patterns with copy-on-write semantics via the
+    ``token`` object, and ``archive`` is a shared cons chain (label, summary,
+    next) of patterns retired by pruning, each frozen into the
+    ``PatternSummary`` it had when it was last scored.
     """
 
     __slots__ = ("token", "assign_tail", "patterns", "archive", "S")

@@ -93,21 +93,26 @@ def test_infer_spatial_off_matches_dhp(tmp_path):
     assert got != expected[True]
 
 
-def test_infer_resume_matches_straight_run(tmp_path):
-    posts, _ = gen_args(tmp_path, n=80, seed=13)
+@pytest.mark.parametrize("flags, stream", [
+    ((), ()),
+    # a sparser stream, so that patterns retire before the mid-stream checkpoint
+    (("--prune", "--psi-tau", 0.041667), ("--lambda0", 2)),
+], ids=["exact", "pruned-one-hour"])
+def test_infer_resume_matches_straight_run(tmp_path, flags, stream):
+    posts, _ = gen_args(tmp_path, n=80, seed=13, extra=stream)
     straight_dir = tmp_path / "straight"
     assert run_cli("infer", "--input", posts, "--out-dir", straight_dir,
-                   "--seed", 13, "--top-k", 0) == 0
+                   "--seed", 13, "--top-k", 0, *flags) == 0
 
     ck = tmp_path / "ck.json"
     part_dir = tmp_path / "part"
     assert run_cli("infer", "--input", posts, "--out-dir", part_dir,
-                   "--seed", 13, "--top-k", 0,
+                   "--seed", 13, "--top-k", 0, *flags,
                    "--checkpoint", ck, "--checkpoint-every", 40) == 0
     # re-running from the mid-stream checkpoint must land on the same result
     resumed_dir = tmp_path / "resumed"
     mid = json.loads(ck.read_text())
-    assert mid["n"] == 80  # final checkpoint was written at the end
+    assert len(mid["posts"]) == 80  # final checkpoint was written at the end
     # rebuild a mid-stream checkpoint by stopping at 40
     ck40 = tmp_path / "ck40.json"
     half_dir = tmp_path / "half"
@@ -115,11 +120,14 @@ def test_infer_resume_matches_straight_run(tmp_path):
     lines = posts.read_text().splitlines()
     half_posts.write_text("\n".join(lines[:40]) + "\n")
     assert run_cli("infer", "--input", half_posts, "--out-dir", half_dir,
-                   "--seed", 13, "--top-k", 0, "--checkpoint", ck40) == 0
+                   "--seed", 13, "--top-k", 0, *flags, "--checkpoint", ck40) == 0
+    # with pruning, the mid-stream checkpoint holds retired patterns
+    archives = [p["archive"] for p in json.loads(ck40.read_text())["particles"]]
+    assert all(archives) == bool(flags)
     assert run_cli("infer", "--input", posts, "--out-dir", resumed_dir,
                    "--seed", 13, "--top-k", 0, "--resume", ck40) == 0
-    assert read_assignments(resumed_dir / "assignments.csv") == \
-        read_assignments(straight_dir / "assignments.csv")
+    for name in ("assignments.csv", "patterns.csv"):
+        assert (resumed_dir / name).read_bytes() == (straight_dir / name).read_bytes()
 
 
 def test_config_file_precedence(tmp_path, capsys):
@@ -278,6 +286,17 @@ def test_infer_resume_rejects_mismatched_input(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{small_vocab} words" in err and f"has {vocab}" in err
 
+    # same count and vocabulary, but post 10 moved: the input is not the stream
+    rows = [json.loads(line) for line in posts.read_text().splitlines()]
+    rows[10]["x"] += 0.125
+    edited = tmp_path / "edited.jsonl"
+    edited.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert run_cli("infer", "--input", edited, "--out-dir", tmp_path / "d",
+                   "--top-k", 0, "--resume", ck) == 1
+    assert "input post 10 differs from post 10 of the checkpoint" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
 
 @pytest.mark.parametrize("every, with_path, message", [
     (100, False, "--checkpoint-every needs --checkpoint"),
@@ -406,17 +425,24 @@ def test_delta_alpha_refuses_label_count_mismatch(tmp_path, capsys):
     assert "120 labelled rows but 119 valid posts" in capsys.readouterr().err
 
 
+def _without(key):
+    return lambda row: json.dumps({k: v for k, v in row.items() if k != key})
+
+
 @pytest.mark.parametrize("metric", ["nmi", "delta-alpha"])
-@pytest.mark.parametrize("bad", [None, "two"], ids=["missing", "not-integer"])
+@pytest.mark.parametrize("edit, named", [
+    (_without("label"), "label must be an integer, got None"),
+    (lambda row: json.dumps({**row, "label": "two"}), "label must be an integer, got 'two'"),
+    (_without("t"), "t must be a number, got None"),
+    (lambda row: "[1, 2]", "not a JSON object"),
+    (lambda row: json.dumps(row)[:-1], "not a JSON object"),
+], ids=["missing", "not-integer", "no-t", "list", "truncated"])
 def test_evaluate_names_truth_row_without_integer_label(tmp_path, capsys,
-                                                        metric, bad):
+                                                        metric, edit, named):
     posts_path, truth = gen_args(tmp_path, n=40, seed=19)
-    rows = [json.loads(line) for line in posts_path.read_text().splitlines()]
-    if bad is None:
-        del rows[3]["label"]
-    else:
-        rows[3]["label"] = bad
-    posts_path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    lines = posts_path.read_text().splitlines()
+    lines[3] = edit(json.loads(lines[3]))
+    posts_path.write_text("".join(line + "\n" for line in lines))
     assignments = tmp_path / "assignments.csv"
     assignments.write_text("post_index,label\n"
                            + "".join(f"{i},0\n" for i in range(40)))
@@ -424,8 +450,7 @@ def test_evaluate_names_truth_row_without_integer_label(tmp_path, capsys,
              if metric == "nmi" else ("--input", posts_path, "--truth", truth))
     capsys.readouterr()
     assert run_cli("evaluate", metric, *flags, "--particles", 2) == 1
-    assert (f"{posts_path} line 4: label must be an integer, got {bad!r}"
-            in capsys.readouterr().err)
+    assert f"{posts_path} line 4: {named}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -14,7 +14,8 @@ from sdhawkes.smc import (
     proposal_distribution,
     systematic_resample,
 )
-from sdhawkes.types import GeoPost, Hyperparams, Particle, PatternStats
+from sdhawkes.hawkes import fit_kernel
+from sdhawkes.types import GeoPost, Hyperparams, Particle, PatternStats, pattern_summary
 
 from sdhawkes import smc
 
@@ -41,16 +42,17 @@ def make_stream(n_posts, seed=0, hyper=None, **cfg_kw):
 
 
 def archived(particle):
-    """(label, stats) of each pattern retired to the archive, newest first."""
+    """(label, summary) of each pattern retired to the archive, newest first."""
     node = particle.archive
     while node is not None:
         yield node[0], node[1]
         node = node[2]
 
 
-def all_patterns(particle):
-    """Live patterns plus the ones retired to the archive, keyed by label."""
-    return dict(sorted({**dict(archived(particle)), **particle.patterns}.items()))
+def fields_repr(summary):
+    """A summary's fields, compared NaN-aware (a pattern without a located
+    post has a NaN mean and scale)."""
+    return repr([getattr(summary, name) for name in summary.__slots__])
 
 
 def system_for(particle, hyper, config=None):
@@ -287,7 +289,8 @@ def test_step_contract():
         assert abs(system.weights.sum() - 1.0) < 1e-12
         for p in system.particles:
             assert len(p.assignments()) == i + 1
-            total = sum(s.n_posts for s in all_patterns(p).values())
+            total = (sum(s.n_posts for s in p.patterns.values())
+                     + sum(s.size for _, s in archived(p)))
             assert total == i + 1
             assert all(label < p.S for label in p.assignments())
 
@@ -338,14 +341,15 @@ def test_hidden_post_location_is_not_read():
 
 
 def test_state_replay_consistency():
-    # after heavy resampling, every particle's pattern statistics must equal
-    # a from-scratch replay of its assignment history (copy-on-write safety)
+    # after heavy resampling, every particle's pattern statistics, and the
+    # summaries of its retired patterns, must equal a from-scratch replay of
+    # its assignment history (copy-on-write safety)
     hyper = base_hyper(n_particles=8)
-    posts = make_stream(300, seed=7)
-    for prune in (0.0, 1e-12):
-        system = ParticleSystem(hyper, EngineConfig(seed=7, prune_threshold=prune))
-        for post in posts:
-            system.step(post)
+    runs = [(ParticleSystem(hyper, EngineConfig(seed=7, prune_threshold=prune)),
+             make_stream(300, seed=7)) for prune in (0.0, 1e-12)]
+    runs.append(pruned_five_tau(300))  # one that retires patterns
+    for system, posts in runs:
+        system.run(posts)
         assert system.n_resamples > 0
         for particle in system.particles:
             assign = particle.assignments()
@@ -356,8 +360,16 @@ def test_state_replay_consistency():
                         len(system.cache_taus), 0.0, 1.0, 0)
                 replayed[label].attach(post.t, post.words, post.x, post.y,
                                        system.cache_taus)
-            stored = all_patterns(particle)
-            assert set(stored) == set(replayed)
+            stored = particle.patterns
+            retired = dict(archived(particle))
+            assert set(stored) | set(retired) == set(replayed)
+            assert not set(stored) & set(retired)
+            for label, summary in retired.items():
+                want = pattern_summary(replayed.pop(label), system.hyper.beta_space)
+                assert (summary.size, summary.time_span, summary.top_words) == \
+                    (want.size, want.time_span, want.top_words)
+                assert summary.mean == pytest.approx(want.mean, rel=1e-9, abs=1e-12)
+                assert summary.scale == pytest.approx(want.scale, rel=1e-9, abs=1e-12)
             for label, rep in replayed.items():
                 st = stored[label]
                 assert st.n_posts == rep.n_posts
@@ -376,8 +388,7 @@ def test_hidden_location_excluded_from_stats():
     system.run(posts, hidden=hidden)
     for particle in system.particles:
         assign = particle.assignments()
-        stored = all_patterns(particle)
-        for label, stats in stored.items():
+        for label, stats in particle.patterns.items():
             n_hidden_members = sum(
                 1 for i, lab in enumerate(assign) if lab == label and i in hidden)
             assert stats.n_posts - stats.n_spatial == n_hidden_members
@@ -528,34 +539,33 @@ def pruned_five_tau(n_posts):
     return ParticleSystem(hyper, EngineConfig(seed=13, prune_threshold=1e-12)), posts
 
 
-@pytest.mark.parametrize("n_posts, split, hyper_kw, stream_kw, config_kw", [
-    (80, 40, {}, {}, {}),
-    (400, 200, FIVE_TAU_HYPER, FIVE_TAU_STREAM, dict(prune_threshold=1e-12)),
+@pytest.mark.parametrize("n_posts, split, hyper_kw, stream_kw, config_kw, hidden", [
+    (80, 40, {}, {}, {}, set()),
+    (400, 200, FIVE_TAU_HYPER, FIVE_TAU_STREAM, dict(prune_threshold=1e-12), set()),
     (400, 200, FIVE_TAU_HYPER, FIVE_TAU_STREAM,
-     dict(prune_threshold=1e-12, refit_all=False)),
+     dict(prune_threshold=1e-12, refit_all=False), set()),
     (400, 200, FIVE_TAU_HYPER, FIVE_TAU_STREAM,
-     dict(prune_threshold=1e-12, fixed_kernel=(0.8, FIVE_TAUS[0]))),
-], ids=["exact", "pruned-five-tau", "pruned-no-refit", "pruned-fixed-kernel"])
+     dict(prune_threshold=1e-12, fixed_kernel=(0.8, FIVE_TAUS[0])), set()),
+    (400, 200, FIVE_TAU_HYPER, FIVE_TAU_STREAM, dict(prune_threshold=1e-12),
+     set(range(3, 400, 7))),
+], ids=["exact", "pruned-five-tau", "pruned-no-refit", "pruned-fixed-kernel",
+        "pruned-hidden"])
 def test_checkpoint_resume_bit_for_bit(tmp_path, n_posts, split, hyper_kw, stream_kw,
-                                       config_kw):
+                                       config_kw, hidden):
     hyper = base_hyper(n_particles=4, **hyper_kw)
     posts = make_stream(n_posts, seed=13, hyper=hyper, **stream_kw)
     config = EngineConfig(seed=13, **config_kw)
     prune = config.prune_threshold
-    straight = ParticleSystem(hyper, config)
-    for post in posts:
-        straight.step(post)
+    straight = ParticleSystem(hyper, config).run(posts, hidden)
 
-    resumed = ParticleSystem(hyper, config)
-    for post in posts[:split]:
-        resumed.step(post)
+    resumed = ParticleSystem(hyper, config).run(posts[:split], hidden)
     if prune:
         assert all(archived_labels(p) for p in resumed.particles)
     path = tmp_path / "ckpt.json"
     resumed.save_checkpoint(path)
     resumed = ParticleSystem.load_checkpoint(path)
-    for post in posts[split:]:
-        resumed.step(post)
+    for i, post in enumerate(posts[split:], start=split):
+        resumed.step(post, observe_location=i not in hidden)
 
     assert np.array_equal(straight.log_weights, resumed.log_weights)
     assert straight.t_last == resumed.t_last
@@ -563,36 +573,30 @@ def test_checkpoint_resume_bit_for_bit(tmp_path, n_posts, split, hyper_kw, strea
     for a, b in zip(straight.particles, resumed.particles):
         assert a.assignments() == b.assignments()
         assert a.S == b.S
-        assert archived_labels(a) == archived_labels(b)
-        pa = all_patterns(a)
-        pb = all_patterns(b)
-        assert set(pa) == set(pb)
-        for label in pa:
-            assert pa[label].event_times == pb[label].event_times
-            assert pa[label].word_counts == pb[label].word_counts
-            assert pa[label].decay == pb[label].decay
-            assert pa[label].log_trigger == pb[label].log_trigger
-            assert pa[label].alpha == pb[label].alpha
-            assert pa[label].tau_idx == pb[label].tau_idx
+        assert [(label, fields_repr(s)) for label, s in archived(a)] == \
+            [(label, fields_repr(s)) for label, s in archived(b)]
+        assert set(a.patterns) == set(b.patterns)
+        for label, sa in a.patterns.items():
+            sb = b.patterns[label]
+            assert sa.event_times == sb.event_times
+            assert sa.word_counts == sb.word_counts
+            assert sa.decay == sb.decay
+            assert sa.log_trigger == sb.log_trigger
+            assert sa.alpha == sb.alpha
+            assert sa.tau_idx == sb.tau_idx
     ra = straight.map_estimate()
     rb = resumed.map_estimate()
     assert ra.assignments == rb.assignments
-    assert [(r.alpha, r.tau) for r in ra.summaries] == \
-        [(r.alpha, r.tau) for r in rb.summaries]
+    assert [fields_repr(r) for r in ra.summaries] == [fields_repr(r) for r in rb.summaries]
 
 
-def pattern_refs(system):
-    """(particle index, "live" or "archive", label) -> the stats object."""
-    refs = {}
-    for i, particle in enumerate(system.particles):
-        for label, stats in particle.patterns.items():
-            refs[i, "live", label] = stats
-        for label, stats in archived(particle):
-            refs[i, "archive", label] = stats
-    return refs
+def archive_refs(system):
+    """(particle index, label) -> the archived summary object."""
+    return {(i, label): summary for i, particle in enumerate(system.particles)
+            for label, summary in archived(particle)}
 
 
-def test_retirement_moves_the_pattern_without_copying(monkeypatch):
+def test_retirement_freezes_the_summary_without_copying(monkeypatch):
     copied = []
     copy = PatternStats.copy
 
@@ -602,19 +606,26 @@ def test_retirement_moves_the_pattern_without_copying(monkeypatch):
 
     monkeypatch.setattr(PatternStats, "copy", recording_copy)
     system, posts = pruned_five_tau(400)
+    hyper = system.hyper
     retired = shared = 0
     for post in posts:
         before = [(p, p.token, dict(p.patterns), p.archive) for p in system.particles]
         t_prev = system.t_last
         copied.clear()
         system.step(post)
+        summary_of = {}  # id of a retired stats object -> its summary
         for particle, token, live, old_head in before:
             node = particle.archive
             while node is not old_head:
-                label, stats, node, t_retired = node
-                assert stats is live[label]
-                assert t_retired == t_prev
+                label, summary, node = node
+                stats = live[label]
+                want = pattern_summary(stats, hyper.beta_space)
+                if stats.n_posts >= 2:
+                    want.alpha, want.tau, _ = fit_kernel(stats, t_prev, hyper)
+                assert fields_repr(summary) == fields_repr(want)
                 assert not any(c is stats for c in copied)
+                # particles that shared the object share one summary
+                assert summary_of.setdefault(id(stats), summary) is summary
                 retired += 1
                 shared += stats.owner is not token
     assert retired > 0 and shared > 0
@@ -624,18 +635,29 @@ def test_checkpoint_writes_each_pattern_once(tmp_path):
     system, posts = pruned_five_tau(300)
     system.run(posts)
     assert system.n_resamples > 0
+    assert any(archived_labels(p) for p in system.particles)
     path = tmp_path / "ckpt.json"
     system.save_checkpoint(path)
-    saved = pattern_refs(system)
-    n_distinct = len({id(stats) for stats in saved.values()})
+    payload = json.loads(path.read_text())
+
+    def keys(obj):
+        if isinstance(obj, dict):
+            return set(obj).union(*map(keys, obj.values()))
+        if isinstance(obj, list):
+            return set().union(*map(keys, obj))
+        return set()
+
+    assert not keys(payload) & set(PatternStats.__slots__)
+    saved = archive_refs(system)
+    n_distinct = len({id(summary) for summary in saved.values()})
     assert n_distinct < len(saved)
-    assert len(json.loads(path.read_text())["stats"]) == n_distinct
-    loaded = pattern_refs(ParticleSystem.load_checkpoint(path))
+    assert len(payload["summaries"]) == n_distinct
+    loaded = archive_refs(ParticleSystem.load_checkpoint(path))
     assert loaded.keys() == saved.keys()
     # shared exactly where the saved ones were: object identity maps one to one
     pairs = {(id(saved[k]), id(loaded[k])) for k in saved}
     assert len(pairs) == n_distinct == len({b for _, b in pairs})
-    assert all(stats.owner is None for stats in loaded.values())
+    assert all(fields_repr(saved[k]) == fields_repr(loaded[k]) for k in saved)
 
 
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
@@ -649,11 +671,23 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
     for post in posts[15:]:
         system.step(post)
 
-    def torn_dump(obj, fh):
-        fh.write(smc.json.dumps(obj)[:200])
-        raise OSError("disk full")
+    class TornFile:
+        """Takes the first 200 bytes of the write, then fails."""
 
-    monkeypatch.setattr(smc.json, "dump", torn_dump)
+        def __init__(self, *args, **kwargs):
+            self.fh = open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:200])
+            raise OSError("disk full")
+
+    monkeypatch.setattr(smc, "open", TornFile, raising=False)
     with pytest.raises(OSError, match="disk full"):
         system.save_checkpoint(path)
     monkeypatch.undo()
@@ -672,8 +706,8 @@ def test_checkpoint_keeps_numpy_word_ids(tmp_path):
     system.save_checkpoint(path)
     loaded = ParticleSystem.load_checkpoint(path)
     for a, b in zip(system.particles, loaded.particles):
-        assert {k: s.word_counts for k, s in all_patterns(a).items()} == \
-            {k: s.word_counts for k, s in all_patterns(b).items()}
+        assert {k: s.word_counts for k, s in a.patterns.items()} == \
+            {k: s.word_counts for k, s in b.patterns.items()}
 
 
 def test_checkpoint_version_guard(tmp_path):
@@ -684,12 +718,49 @@ def test_checkpoint_version_guard(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["version"] == smc.CHECKPOINT_VERSION
     # 2 is the layout before the decay sum was stored once, 3 the one that
-    # wrote each particle's own copy of a shared pattern
-    for version in (2, 3, 999):
+    # wrote each particle's own copy of a shared pattern, 4 the one that
+    # wrote pattern statistics
+    for version in (2, 3, 4, 999):
         payload["version"] = version
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
             ParticleSystem.load_checkpoint(path)
+
+
+def _set(payload, keys, value):
+    *path, last = keys
+    for key in path:
+        payload = payload[key]
+    payload[last] = value
+
+
+@pytest.mark.parametrize("corrupt, problem", [
+    (lambda text, p: "[1, 2]", "not a JSON object"),
+    (lambda text, p: text[:len(text) // 2], "Expecting|Unterminated"),
+    (lambda text, p: p.pop("rngs") and json.dumps(p), "missing field 'rngs'"),
+    (lambda text, p: _set(p, ["particles", 0, "archive", 0, 1], 10**6) or json.dumps(p),
+     "particle 0: summary row 1000000 out of range"),
+    (lambda text, p: _set(p, ["particles", 1, "assignments", 5], 99) or json.dumps(p),
+     "particle 1: label 99 out of range"),
+    (lambda text, p: _set(p, ["particles", 0, "archive", 0, 0], 10**6) or json.dumps(p),
+     "particle 0: archived label out of range"),
+    (lambda text, p: p["particles"][2]["assignments"].pop() and json.dumps(p),
+     "particle 2: 299 assignments for 300 posts"),
+    (lambda text, p: p["posts"].pop() and json.dumps(p), "assignments for 299 posts"),
+    (lambda text, p: _set(p, ["posts", 7, 1], [0, 30]) or json.dumps(p),
+     "post 7: post field words holds id 30"),
+    (lambda text, p: p["particles"].pop() and json.dumps(p), "must each number n_particles = 4"),
+], ids=["list", "truncated", "no-rngs", "row", "label", "archived-label",
+        "assignment-count", "post-count", "invalid-post", "particle-count"])
+def test_malformed_checkpoint_is_named(tmp_path, corrupt, problem):
+    system, posts = pruned_five_tau(300)
+    path = tmp_path / "ckpt.json"
+    system.run(posts).save_checkpoint(path)
+    text = path.read_text()
+    path.write_text(corrupt(text, json.loads(text)))
+    with pytest.raises(ValueError, match=problem) as caught:
+        ParticleSystem.load_checkpoint(path)
+    assert str(path) in str(caught.value)
 
 
 # ----------------------------------------------------------------------
