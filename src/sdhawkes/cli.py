@@ -2,7 +2,8 @@
 
 Subcommands: generate, infer, evaluate, predict, gof. Option precedence is
 CLI flag > --config JSON file > built-in defaults (the synthetic-experiment
-defaults). Exit codes: 0 success, 1 validation error, 2 runtime error.
+defaults). Exit codes: 0 success, 1 validation or file-system error (naming
+the path), 2 runtime error.
 """
 
 from __future__ import annotations
@@ -178,6 +179,11 @@ def cmd_infer(args) -> int:
                              f"got {args.checkpoint_every}")
         if args.checkpoint is None:
             raise ValueError("--checkpoint-every needs --checkpoint")
+    ck = args.checkpoint
+    if ck is not None and ck.is_dir():
+        raise ValueError(f"--checkpoint {ck}: is a directory")
+    if ck is not None and not ck.parent.is_dir():
+        raise ValueError(f"--checkpoint {ck}: no directory {ck.parent}")
     if args.resume:
         system = ParticleSystem.load_checkpoint(args.resume)
         _refuse_resume_overrides(args, system)
@@ -464,7 +470,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # OSError names its path
         return _fail(str(exc), 1)
     except Exception as exc:  # runtime failure
         return _fail(f"{type(exc).__name__}: {exc}", 2)

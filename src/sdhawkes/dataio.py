@@ -216,10 +216,23 @@ def preprocess(raws: list[RawPost], top_k: int = 200) -> PreprocessResult:
 # ----------------------------------------------------------------------
 # result files
 
+def _create(path: Path, newline: str | None = None):
+    """Open ``path`` for writing as a new file.
+
+    An existing regular file is unlinked first rather than truncated: on
+    some filesystems (ext4 with auto_da_alloc) truncating a file flushes the
+    data written next synchronously, tens of milliseconds per file. A
+    symlink is kept and written through.
+    """
+    if path.is_file() and not path.is_symlink():
+        path.unlink()
+    return open(path, "w", encoding="utf-8", newline=newline)
+
+
 def write_csv(path, header, rows) -> Path:
     """Write a header row and then ``rows`` to a CSV file with Unix line ends."""
     path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _create(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -300,7 +313,7 @@ def read_assignments(path) -> list[int]:
 
 def write_synthetic(synth: SynthResult, posts_path, truth_path) -> None:
     """Posts as JSONL (planar, with true labels); per-pattern truth as CSV."""
-    with open(posts_path, "w", encoding="utf-8") as fh:
+    with _create(Path(posts_path)) as fh:
         for post in synth.posts:
             fh.write(json.dumps({
                 "t": post.t,

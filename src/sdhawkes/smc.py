@@ -9,7 +9,11 @@ the effective sample size drops below kappa_thresh * n_particles.
 
 ``score_candidates`` is the one place these model terms are evaluated: the
 step, the proposal, the weight update and the one-step-ahead predictive all
-call it.
+call it. Within one call it scores each distinct pattern object once, however
+many resampled particles hold it, and tabulates the terms that depend on a
+single count (the content normaliser, each word's factor, the spatial lead
+and log xi), so most ``lgamma`` and ``log`` calls become dict reads; the
+floats are exactly those of scoring every (particle, pattern) pair alone.
 
 Particles use copy-on-write state: pattern statistics are shared between
 resampled offspring until one of them mutates, assignment histories are
@@ -27,7 +31,6 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
-from itertools import chain
 from math import exp, lgamma, log, log1p
 
 import numpy as np
@@ -152,7 +155,7 @@ class ParticleSystem:
                     choice = i
                     break
             label = particle.S if choice == len(scores) - 1 else labels[choice]
-            self._attach(particle, label, post, observe_location)
+            self._fit(self._attach(particle, label, post, observe_location))
 
         self.post_tail = (post, observe_location, self.post_tail)
         self.n += 1
@@ -164,9 +167,9 @@ class ParticleSystem:
         return self
 
     def _attach(self, particle: Particle, label: int, post: GeoPost,
-                observed: bool) -> None:
+                observed: bool) -> PatternStats:
         """Add ``post`` to pattern ``label`` (new if it is ``particle.S``),
-        refit its stored kernel unless fixed, and record the assignment."""
+        record the assignment and return the pattern's statistics."""
         hyper = self.hyper
         psi = self.cache_taus
         fixed = self.config.fixed_kernel
@@ -178,9 +181,13 @@ class ParticleSystem:
         else:
             stats = particle.writable(label)
         stats.attach(post.t, post.words, post.x, post.y, psi, with_location=observed)
-        if stats.n_posts >= 2 and fixed is None:
-            stats.alpha, stats.tau, stats.tau_idx = fit_kernel(stats, post.t, hyper)
         particle.record_assignment(label)
+        return stats
+
+    def _fit(self, stats: PatternStats) -> None:
+        """Refit the stored kernel at the pattern's latest post, unless fixed."""
+        if stats.n_posts >= 2 and self.config.fixed_kernel is None:
+            stats.alpha, stats.tau, stats.tau_idx = fit_kernel(stats, stats.t_ref, self.hyper)
 
     def _summary(self, stats: PatternStats, t_fit: float) -> PatternSummary:
         """``pattern_summary`` of a pattern last scored at ``t_fit``; with
@@ -326,7 +333,8 @@ class ParticleSystem:
     @classmethod
     def load_checkpoint(cls, path) -> "ParticleSystem":
         """Rebuild a system written by ``save_checkpoint``, replaying each
-        particle's live patterns from its assignments of the saved posts.
+        particle's live patterns from its assignments of the saved posts and
+        fitting each kernel once, at the pattern's latest post.
         Raises ValueError naming ``path`` if it is not a valid checkpoint."""
         try:
             with open(path, encoding="utf-8") as fh:
@@ -376,6 +384,9 @@ class ParticleSystem:
                         system._attach(particle, label, post, observed)
                 if not retired <= set(range(particle.S)):
                     raise ValueError(f"particle {i}: archived label out of range")
+                # only the fit after a pattern's last post survives
+                for stats in particle.patterns.values():
+                    system._fit(stats)
             system.n = len(posts)
             system.n_resamples = payload["n_resamples"]
             system.log_weights = np.array(payload["log_weights"], dtype=float)
@@ -424,7 +435,8 @@ def systematic_resample(system: ParticleSystem) -> ParticleSystem:
 
 
 # the "new" candidate: scored as an empty pattern
-_NEW_CANDIDATE = ((None, PatternStats(0, 0.0, 1.0, 0)),)
+_EMPTY = PatternStats(0, 0.0, 1.0, 0)
+_UNSCORED = object()
 
 
 def score_candidates(particles: list[Particle], post: GeoPost, hyper: Hyperparams,
@@ -444,26 +456,77 @@ def score_candidates(particles: list[Particle], post: GeoPost, hyper: Hyperparam
     Returns, for each particle, (labels, scores, lam_t, big_lambda, prune):
     the scored labels, their log scores with "new" last, lambda(t), the
     compensator of lambda over [t_prev, t], and the labels of the patterns
-    to prune. "New" is the same for every particle, so it is scored once,
-    with the first particle.
+    to prune.
+
+    A pattern's refit, prune test, lambda_k(t), compensator increment and
+    score read only its statistics, the post and the clock, so each distinct
+    ``PatternStats`` object (resampled particles share them) is scored once
+    per call and "new" once in all; each particle then sums lambda(t) and
+    Lambda in its own label order. Terms that depend on one count only (the
+    content normaliser by total word count, each distinct word's factor by
+    the pattern's count of that word, the spatial lead by located-post count,
+    log xi by xi) are tabulated per call. Every float is the one the
+    unshared, untabulated formula gives.
     """
     t = post.t
     dt = t - t_prev
     lam0 = hyper.lambda0
-    theta0 = hyper.theta0
-    vt = hyper.vocab_size * theta0
     beta = hyper.beta_space
     rx = post.x
     ry = post.y
     refit = config.fixed_kernel is None and config.refit_all
     if content:
+        theta0 = hyper.theta0
+        vt = hyper.vocab_size * theta0
+        c_d = len(post.words)
         counts: dict[int, int] = {}
         for w in post.words:
             counts[w] = counts.get(w, 0) + 1
-        doc_items = list(counts.items())
-        c_d = len(post.words)
+        normaliser: dict[int, float] = {}  # by the pattern's total word count
+        # each distinct word of the post, its count in the post, and its
+        # factor by the pattern's count of it
+        word_factors = [(v, c, {}) for v, c in counts.items()]
     two_pi = 2.0 * math.pi
-    new_candidate = _NEW_CANDIDATE
+    lead: dict[int, float] = {}  # by the pattern's located-post count
+    log_xi: dict[float, float] = {}
+
+    def add_factors(ls: float, stats: PatternStats) -> float:
+        """``ls`` plus the post's switched-on log content and spatial factors."""
+        if content:
+            get = stats.word_counts.get
+            ct = stats.total_words
+            f = normaliser.get(ct)
+            if f is None:
+                f = normaliser[ct] = lgamma(ct + vt) - lgamma(ct + c_d + vt)
+            ls += f
+            for v, c, table in word_factors:
+                k = get(v, 0)
+                f = table.get(k)
+                if f is None:
+                    base = k + theta0
+                    f = table[k] = lgamma(base + c) - lgamma(base)
+                ls += f
+        ns = stats.n_spatial
+        if spatial and ns > 0:
+            xi = beta + 0.5 * stats.m2
+            dx = rx - stats.mean_x
+            dy = ry - stats.mean_y
+            delta = ns / (2.0 * (ns + 1.0)) * (dx * dx + dy * dy)
+            f = lead.get(ns)
+            if f is None:
+                f = lead[ns] = log(ns * ns / (two_pi * (1.0 + ns)))
+            g = log_xi.get(xi)
+            if g is None:
+                g = log_xi[xi] = log(xi)
+            ls += f - g - (1.0 + ns) * log1p(delta / xi)
+        return ls
+
+    # "new" adds its prior after its factors; another order rounds the score
+    # differently and can change the sampled assignments
+    new_score = add_factors(0.0, _EMPTY) + log(lam0)
+    # PatternStats -> (lam_k, compensator increment, score), or None if pruned
+    memo: dict[PatternStats, tuple | None] = {}
+    memo_get = memo.get
     e_dt_tau = None  # the tau of e_dt = exp(-dt/tau), shared by most patterns
     out = []
     for particle in particles:
@@ -472,10 +535,9 @@ def score_candidates(particles: list[Particle], post: GeoPost, hyper: Hyperparam
         lam_t = lam0
         big_lambda = lam0 * dt
         prune = []
-        for label, stats in chain(particle.patterns.items(), new_candidate):
-            if label is None:
-                ls = 0.0
-            else:
+        for label, stats in particle.patterns.items():
+            entry = memo_get(stats, _UNSCORED)
+            if entry is _UNSCORED:
                 if refit and stats.n_posts >= 2:
                     alpha, tau, tau_idx = fit_kernel(stats, t_prev, hyper)
                 else:
@@ -484,44 +546,25 @@ def score_candidates(particles: list[Particle], post: GeoPost, hyper: Hyperparam
                     tau_idx = stats.tau_idx
                 if (prune_abs > 0.0
                         and alpha * stats.n_posts * exp(-(t - stats.t_ref) / tau) < prune_abs):
-                    prune.append(label)
-                    continue
-                s_prev = stats.decay[tau_idx] * exp(-(t_prev - stats.t_ref) / tau)
-                if tau != e_dt_tau:
-                    e_dt_tau = tau
-                    e_dt = exp(-dt / tau)
-                lam_k = alpha * s_prev * e_dt
-                lam_t += lam_k
-                big_lambda += alpha * tau * s_prev * (1.0 - e_dt)
-                labels.append(label)
-                if lam_k <= 0.0:
-                    scores.append(-math.inf)
-                    continue
-                ls = log(lam_k)
-            if content:
-                get = stats.word_counts.get
-                ct = stats.total_words
-                ls += lgamma(ct + vt) - lgamma(ct + c_d + vt)
-                for v, c in doc_items:
-                    base = get(v, 0) + theta0
-                    ls += lgamma(base + c) - lgamma(base)
-            ns = stats.n_spatial
-            if spatial and ns > 0:
-                xi = beta + 0.5 * stats.m2
-                dx = rx - stats.mean_x
-                dy = ry - stats.mean_y
-                delta = ns / (2.0 * (ns + 1.0)) * (dx * dx + dy * dy)
-                ls += (log(ns * ns / (two_pi * (1.0 + ns)))
-                       - log(xi) - (1.0 + ns) * log1p(delta / xi))
+                    entry = None
+                else:
+                    s_prev = stats.decay[tau_idx] * exp(-(t_prev - stats.t_ref) / tau)
+                    if tau != e_dt_tau:
+                        e_dt_tau = tau
+                        e_dt = exp(-dt / tau)
+                    lam_k = alpha * s_prev * e_dt
+                    entry = (lam_k, alpha * tau * s_prev * (1.0 - e_dt),
+                             -math.inf if lam_k <= 0.0 else add_factors(log(lam_k), stats))
+                memo[stats] = entry
+            if entry is None:
+                prune.append(label)
+                continue
+            lam_k, comp_k, ls = entry
+            lam_t += lam_k
+            big_lambda += comp_k
+            labels.append(label)
             scores.append(ls)
-        if new_candidate:
-            # "new" adds its prior after its factors; another order rounds
-            # the score differently and can change the sampled assignments
-            new_score = scores[-1] + log(lam0)
-            scores[-1] = new_score
-            new_candidate = ()
-        else:
-            scores.append(new_score)
+        scores.append(new_score)
         out.append((labels, scores, lam_t, big_lambda, prune))
     return out
 

@@ -475,6 +475,33 @@ def test_gof_refuses_negative_tune_iters_before_any_work(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("checkpoint, named", [
+    ("ckdir", "--checkpoint {tmp}/ckdir: is a directory"),
+    ("missing/ck.json", "--checkpoint {tmp}/missing/ck.json: no directory {tmp}/missing"),
+], ids=["directory", "missing-parent"])
+def test_infer_refuses_unwritable_checkpoint_before_any_post(tmp_path, capsys, monkeypatch,
+                                                             checkpoint, named):
+    posts, _ = gen_args(tmp_path, n=30, seed=6)
+    (tmp_path / "ckdir").mkdir()
+    monkeypatch.setattr(ParticleSystem, "step", lambda *a, **k: pytest.fail("stepped"))
+    capsys.readouterr()
+    code = run_cli("infer", "--input", posts, "--out-dir", tmp_path / "run",
+                   "--top-k", 0, "--particles", 2, "--checkpoint", tmp_path / checkpoint)
+    assert code == 1
+    assert named.format(tmp=tmp_path) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_infer_resume_from_a_directory_names_it(tmp_path, capsys):
+    posts, _ = gen_args(tmp_path, n=30, seed=6)
+    (tmp_path / "ckdir").mkdir()
+    capsys.readouterr()
+    code = run_cli("infer", "--input", posts, "--out-dir", tmp_path / "run",
+                   "--resume", tmp_path / "ckdir")
+    assert code == 1
+    assert str(tmp_path / "ckdir") in capsys.readouterr().err
+
+
 def test_infer_checkpoint_cadence(tmp_path, monkeypatch):
     posts, _ = gen_args(tmp_path, n=100, seed=6)
     saved_at = []

@@ -13,6 +13,7 @@ from sdhawkes.dataio import (
     load_synthetic_labels,
     preprocess,
     read_assignments,
+    write_csv,
     write_synthetic,
 )
 from sdhawkes.generate import SynthConfig, generate
@@ -295,3 +296,30 @@ def test_synthetic_round_trip(tmp_path):
     assert len(result.posts) == 40
     assert [p.t for p in result.posts] == [p.t for p in synth.posts]
     assert [(p.x, p.y) for p in result.posts] == [(p.x, p.y) for p in synth.posts]
+
+
+def test_overwrite_leaves_only_the_new_content(tmp_path):
+    synth = generate(SynthConfig(hyper=Hyperparams(n_particles=1), n_posts=40, seed=33))
+    posts_path = tmp_path / "synth.jsonl"
+    truth_path = tmp_path / "truth.csv"
+    write_synthetic(synth, posts_path, truth_path)
+    first = posts_path.read_bytes(), truth_path.read_bytes()
+    posts_path.write_bytes(first[0] * 3)
+    truth_path.write_bytes(first[1] * 3)
+    write_synthetic(synth, posts_path, truth_path)
+    assert (posts_path.read_bytes(), truth_path.read_bytes()) == first
+
+    out = tmp_path / "table.csv"
+    out.write_text("a,b\n" * 100)
+    write_csv(out, ["a"], [[1]])
+    assert out.read_text() == "a\n1\n"
+
+
+def test_symlinked_output_is_written_through(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("old,longer,content\n" * 10)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    write_csv(link, ["a", "b"], [[1, 2]])
+    assert link.is_symlink()
+    assert target.read_text() == "a,b\n1,2\n"

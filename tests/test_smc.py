@@ -797,6 +797,73 @@ def test_pruning_preserves_labels_and_results():
 
 
 # ----------------------------------------------------------------------
+# shared scoring
+
+
+@pytest.mark.parametrize("config_kw, factors", [
+    ({}, {}),
+    (dict(prune_threshold=1e-12), {}),
+    ({}, dict(spatial=False)),
+    ({}, dict(content=False)),
+    (dict(refit_all=False), {}),
+], ids=["exact", "pruned", "content-only", "spatial-only", "no-refit"])
+def test_shared_patterns_score_as_if_alone(config_kw, factors):
+    # kappa 1 resamples after nearly every post, so particles share most
+    # PatternStats objects; each must score as it would in a call of its own
+    hyper = base_hyper(n_particles=4, kappa_thresh=1.0, **FIVE_TAU_HYPER)
+    posts = make_stream(300, seed=13, hyper=hyper, **FIVE_TAU_STREAM)
+    config = EngineConfig(seed=13, **config_kw)
+    prune_abs = config.prune_threshold * hyper.lambda0
+    system = ParticleSystem(hyper, config).run(posts[:150])
+    shared = pruned = 0
+    for post in posts[150:]:
+        particles = system.particles
+        together = smc.score_candidates(particles, post, hyper, config, system.t_last,
+                                        prune_abs=prune_abs, **factors)
+        alone = [smc.score_candidates([p], post, hyper, config, system.t_last,
+                                      prune_abs=prune_abs, **factors)[0]
+                 for p in particles]
+        assert repr(together) == repr(alone)
+        held = [id(s) for p in particles for s in p.patterns.values()]
+        shared += len(held) - len(set(held))
+        pruned += sum(len(entry[4]) for entry in together)
+        system.step(post)
+    assert system.n_resamples > 100 and shared > 0
+    assert (pruned > 0) == bool(prune_abs)
+
+
+def test_patterns_sharing_table_keys_score_as_if_alone():
+    # equal total word counts but different counts of the post's words, and
+    # equal located-post counts but different spreads
+    hyper = base_hyper(n_particles=1, psi_tau=(0.25, 1.0))
+    config = EngineConfig()
+    posts_of = [
+        [(0.0, [0, 1, 2], 0.1, 0.1), (0.2, [3, 4, 5], 0.2, 0.1)],
+        [(0.1, [0, 0, 0], 0.5, 0.5), (0.3, [1, 1, 1], 0.5, 0.6)],
+        [(0.1, [0, 0, 1], 0.5, 0.5), (0.3, [7, 8, 9], 0.9, 0.1)],
+    ]
+    patterns = []
+    for event_posts in posts_of:
+        stats = PatternStats(2, 0.5, 0.25, 0)
+        for t, words, x, y in event_posts:
+            stats.attach(t, words, x, y, hyper.psi_tau)
+        patterns.append(stats)
+    assert len({(s.total_words, s.n_spatial) for s in patterns}) == 1
+    assert len({s.m2 for s in patterns}) == len(patterns)
+    post = GeoPost(t=0.5, words=[0, 0, 1], x=0.4, y=0.4)
+    together = Particle()
+    together.patterns = dict(enumerate(patterns))
+    [(labels, scores, _, _, _)] = smc.score_candidates([together], post, hyper, config, 0.3)
+    assert labels == [0, 1, 2]
+    for label, stats in enumerate(patterns):
+        alone = Particle()
+        alone.patterns = {label: stats}
+        [(_, alone_scores, _, _, _)] = smc.score_candidates([alone], post, hyper, config, 0.3)
+        assert repr(alone_scores) == repr([scores[label], scores[-1]])
+    assert len(set(scores)) == len(scores)
+
+
+# ----------------------------------------------------------------------
 # seeded edge cases
 
 
