@@ -210,11 +210,13 @@ def cmd_infer(args) -> int:
             prune_threshold=1e-12 if args.prune else 0.0,
         )
         system = ParticleSystem(hyper, engine)
+    saved_at = None
     for post in posts:
         system.step(post)
         if args.checkpoint_every and system.n % args.checkpoint_every == 0:
             system.save_checkpoint(args.checkpoint)
-    if args.checkpoint:
+            saved_at = system.n
+    if args.checkpoint and saved_at != system.n:
         system.save_checkpoint(args.checkpoint)
     result = system.map_estimate()
     trace_labels = ([int(v) for v in args.traces.split(",")]

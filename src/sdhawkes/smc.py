@@ -21,7 +21,9 @@ shared cons chains, and (optionally) patterns whose possible intensity
 contribution has decayed to nothing retire to a shared archive that keeps
 only their final ``PatternSummary``. This keeps the per-post cost, and the
 statistics held, proportional to the number of *live* patterns. Statistics
-are never written to a checkpoint: loading replays them from the posts.
+are never written to a checkpoint: loading replays them from the posts. A
+checkpoint is a log to which each save appends only what changed since the
+previous save, so a save costs the same late in a stream as early on.
 """
 
 from __future__ import annotations
@@ -56,7 +58,16 @@ __all__ = [
     "incremental_weight",
 ]
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
+
+
+def _identity(path: str) -> tuple | None:
+    """The file's device, inode, size and modification time, or None."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
 @dataclass(slots=True)
@@ -110,6 +121,9 @@ class ParticleSystem:
         self.rngs = [np.random.default_rng(s) for s in children[:-1]]
         self.resample_rng = np.random.default_rng(children[-1])
         self.n_resamples = 0
+        # (path, file identity, n, summary rows, each particle's chains) as of
+        # the last save or load: the state a checkpoint append extends
+        self._saved: tuple | None = None
 
     # ------------------------------------------------------------------
     # stepping
@@ -156,6 +170,7 @@ class ParticleSystem:
                     break
             label = particle.S if choice == len(scores) - 1 else labels[choice]
             self._fit(self._attach(particle, label, post, observe_location))
+            particle.record_assignment(label)
 
         self.post_tail = (post, observe_location, self.post_tail)
         self.n += 1
@@ -168,8 +183,8 @@ class ParticleSystem:
 
     def _attach(self, particle: Particle, label: int, post: GeoPost,
                 observed: bool) -> PatternStats:
-        """Add ``post`` to pattern ``label`` (new if it is ``particle.S``),
-        record the assignment and return the pattern's statistics."""
+        """Add ``post`` to pattern ``label`` (new if it is ``particle.S``)
+        and return the pattern's statistics."""
         hyper = self.hyper
         psi = self.cache_taus
         fixed = self.config.fixed_kernel
@@ -181,7 +196,6 @@ class ParticleSystem:
         else:
             stats = particle.writable(label)
         stats.attach(post.t, post.words, post.x, post.y, psi, with_location=observed)
-        particle.record_assignment(label)
         return stats
 
     def _fit(self, stats: PatternStats) -> None:
@@ -287,119 +301,213 @@ class ParticleSystem:
     # checkpointing
 
     def save_checkpoint(self, path) -> None:
-        """Atomically write the stepped posts, each particle's assignments and
-        archive, the weights and the random states to ``path``."""
-        # each distinct archived summary is one row that archives refer to by
-        # index, so loading restores the sharing
+        """Save the system to ``path``, a JSON-lines log: a header (version,
+        hyper, config), then one line per save. A line holds the posts
+        stepped since the previous line, the summaries frozen since, and for
+        each particle its ancestor at the previous line (``from``), its
+        labels of the new posts and the archive nodes it gained; the weights,
+        random states and resample count follow.
+
+        If ``path`` is exactly as this system's last save or load left it,
+        the line is appended by one write, and its final newline commits it.
+        Otherwise the header and a full line (``from`` null) go to a sibling
+        file that is renamed over ``path``."""
+        path = os.fspath(path)
+        if self._saved is not None and self._saved[:2] == (path, _identity(path)):
+            _, _, n_prev, n_rows, heads = self._saved
+        else:
+            n_prev, n_rows, heads = 0, 0, []
+        steps = self.n - n_prev
+        posts = []
+        node = self.post_tail
+        for _ in range(steps):
+            post, observed, node = node
+            posts.append([post.t, [int(w) for w in post.words], post.x, post.y, observed])
+        # a particle's ancestor at the previous save holds the assignment node
+        # ``steps`` back in its chain; its archive head ends the new nodes
+        ancestor = {id(assign): j for j, (assign, _) in enumerate(heads)}
         rows: dict[int, int] = {}  # id(summary) -> row index
         summary_rows: list[list] = []
         particles = []
         for particle in self.particles:
+            labels = []
+            node = particle.assign_tail
+            for _ in range(steps):
+                label, node = node
+                labels.append(label)
+            j = ancestor[id(node)] if heads else None
             archive = []
             node = particle.archive
-            while node is not None:
+            stop = heads[j][1] if heads else None
+            while node is not stop:
                 label, summary, node = node
+                # a summary is frozen in the step that archives it, so every
+                # summary a new node holds is new: each is written once
                 if id(summary) not in rows:
-                    rows[id(summary)] = len(summary_rows)
+                    rows[id(summary)] = n_rows + len(summary_rows)
                     summary_rows.append([getattr(summary, name)
                                          for name in PatternSummary.__slots__])
                 archive.append([label, rows[id(summary)]])
-            particles.append({"assignments": particle.assignments(), "archive": archive})
-        payload = {
-            "version": CHECKPOINT_VERSION,
+            particles.append({"from": j, "labels": labels[::-1], "archive": archive})
+        line = json.dumps({
+            "posts": posts[::-1],
+            "summaries": summary_rows,
+            "particles": particles,
             "n_resamples": self.n_resamples,
-            "hyper": asdict(self.hyper),
-            "config": asdict(self.config),
             "log_weights": [float(v) for v in self.log_weights],
             "resample_rng": self.resample_rng.bit_generator.state,
             "rngs": [r.bit_generator.state for r in self.rngs],
-            "posts": [[post.t, [int(w) for w in post.words], post.x, post.y, observed]
-                      for post, observed in self.posts()],
-            "summaries": summary_rows,
-            "particles": particles,
-        }
-        # write a sibling file, then rename over the target, so a crash
-        # mid-write leaves the previous checkpoint intact
-        tmp = f"{os.fspath(path)}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(payload))
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp)
-            raise
+        }) + "\n"
+        if heads:
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(line)
+        else:
+            header = json.dumps({"version": CHECKPOINT_VERSION, "hyper": asdict(self.hyper),
+                                 "config": asdict(self.config)}) + "\n"
+            # write a sibling file, then rename over the target, so a crash
+            # mid-write leaves the previous checkpoint intact
+            tmp = f"{path}.tmp"
+            try:
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    fh.write(header + line)
+                os.replace(tmp, path)
+            except BaseException:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(tmp)
+                raise
+        self._saved = (path, _identity(path), self.n, n_rows + len(summary_rows),
+                       [(p.assign_tail, p.archive) for p in self.particles])
 
     @classmethod
     def load_checkpoint(cls, path) -> "ParticleSystem":
-        """Rebuild a system written by ``save_checkpoint``, replaying each
+        """Rebuild a system written by ``save_checkpoint``: fold the lines in
+        order into shared assignment and archive chains, then replay each
         particle's live patterns from its assignments of the saved posts and
-        fitting each kernel once, at the pattern's latest post.
+        fit each kernel once, at the pattern's latest post. A final line
+        without a newline, or that does not parse, is a torn append and is
+        ignored, so the previous save loads.
         Raises ValueError naming ``path`` if it is not a valid checkpoint."""
         try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-            if not isinstance(payload, dict) or payload.get("version") != CHECKPOINT_VERSION:
-                raise ValueError(f"not a JSON object of version {CHECKPOINT_VERSION}")
-            hyper = Hyperparams(**{**payload["hyper"],
-                                   "psi_tau": tuple(payload["hyper"]["psi_tau"])})
-            config_d = dict(payload["config"])
+            with open(path, "rb") as fh:
+                lines = fh.read().split(b"\n")
+                stat = os.fstat(fh.fileno())
+            header = json.loads(lines[0])
+            if not isinstance(header, dict):
+                raise ValueError("not a JSON object")
+            if header.get("version") != CHECKPOINT_VERSION:
+                raise ValueError(f"version {header.get('version')!r}; "
+                                 f"this program reads version {CHECKPOINT_VERSION}")
+            hyper = Hyperparams(**{**header["hyper"],
+                                   "psi_tau": tuple(header["hyper"]["psi_tau"])})
+            config_d = dict(header["config"])
             if config_d.get("fixed_kernel") is not None:
                 config_d["fixed_kernel"] = tuple(config_d["fixed_kernel"])
             system = cls(hyper, EngineConfig(**config_d))
-            posts = [(GeoPost(t, words, x, y), observed)
-                     for t, words, x, y, observed in payload["posts"]]
-            for i, (post, observed) in enumerate(posts):
+            posts: list[tuple[GeoPost, bool]] = []
+            summaries: list[PatternSummary] = []
+            heads: list[tuple] = []  # each particle's (assignments, archive) chains
+            size = len(lines[0]) + 1  # the bytes of the lines loaded
+            # the complete lines after the header; the text after the final
+            # newline, if any, is a torn append
+            for number, text in enumerate(lines[1:-1], start=2):
                 try:
-                    post.validate(hyper.vocab_size, with_location=observed)
+                    saved = json.loads(text)
                 except ValueError as exc:
-                    raise ValueError(f"post {i}: {exc}") from None
-                system.post_tail = (post, observed, system.post_tail)
-                system.t_last = post.t
-            summaries = [PatternSummary(size, tuple(mean), scale, alpha, tau, span,
-                                        [tuple(kv) for kv in top])
-                         for size, mean, scale, alpha, tau, span, top in payload["summaries"]]
-            counts = {len(payload[k]) for k in ("particles", "rngs", "log_weights")}
-            if counts != {hyper.n_particles}:
-                raise ValueError(f"particles, rngs and log_weights must each number "
-                                 f"n_particles = {hyper.n_particles}")
-            for i, (particle, saved) in enumerate(zip(system.particles, payload["particles"])):
-                if len(saved["assignments"]) != len(posts):
-                    raise ValueError(f"particle {i}: {len(saved['assignments'])} "
-                                     f"assignments for {len(posts)} posts")
-                for label, row in reversed(saved["archive"]):
-                    if not 0 <= row < len(summaries):
-                        raise ValueError(f"particle {i}: summary row {row} out of range")
-                    particle.archive = (label, summaries[row], particle.archive)
-                retired = {label for label, _ in saved["archive"]}
+                    if number == len(lines) - 1 and not lines[-1]:
+                        break  # a torn final line
+                    raise ValueError(f"line {number}: {exc}") from None
+                try:
+                    heads = system._fold(saved, posts, summaries, heads)
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"line {number}: {exc}") from None
+                size += len(text) + 1
+                last = saved
+            if not heads:
+                raise ValueError("no complete save line")
+            for i, (particle, (assign, archive)) in enumerate(zip(system.particles, heads)):
+                labels = []
+                node = assign
+                while node is not None:
+                    label, node = node
+                    labels.append(label)
+                retired = set()
+                node = particle.archive = archive
+                while node is not None:
+                    label, _, node = node
+                    retired.add(label)
                 # a label is new where it first appears, so it is at most S;
                 # posts of retired labels leave no live statistics
-                for (post, observed), label in zip(posts, saved["assignments"]):
+                for (post, observed), label in zip(posts, reversed(labels)):
                     if not (isinstance(label, int) and 0 <= label <= particle.S):
                         raise ValueError(f"particle {i}: label {label!r} out of range")
                     if label in retired:
                         particle.S = max(particle.S, label + 1)
-                        particle.record_assignment(label)
                     else:
                         system._attach(particle, label, post, observed)
                 if not retired <= set(range(particle.S)):
                     raise ValueError(f"particle {i}: archived label out of range")
+                particle.assign_tail = assign  # the folded chain keeps the sharing
                 # only the fit after a pattern's last post survives
                 for stats in particle.patterns.values():
                     system._fit(stats)
             system.n = len(posts)
-            system.n_resamples = payload["n_resamples"]
-            system.log_weights = np.array(payload["log_weights"], dtype=float)
+            system.n_resamples = last["n_resamples"]
+            system.log_weights = np.array(last["log_weights"], dtype=float)
             w = np.exp(system.log_weights)
             system.weights = w / w.sum()
-            system.resample_rng.bit_generator.state = payload["resample_rng"]
-            for rng, state in zip(system.rngs, payload["rngs"]):
+            system.resample_rng.bit_generator.state = last["resample_rng"]
+            for rng, state in zip(system.rngs, last["rngs"]):
                 rng.bit_generator.state = state
         except KeyError as exc:
             raise ValueError(f"checkpoint {path}: missing field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ValueError(f"checkpoint {path}: {exc}") from None
+        system._saved = (os.fspath(path), (stat.st_dev, stat.st_ino, size, stat.st_mtime_ns),
+                         system.n, len(summaries), heads)
         return system
+
+    def _fold(self, saved: dict, posts: list, summaries: list, heads: list) -> list:
+        """Add one save line's posts and summary rows to ``posts`` and
+        ``summaries`` and return each particle's chains after it, built on
+        its ancestor's in ``heads`` (the chains after the previous line)."""
+        hyper = self.hyper
+        new_posts = [(GeoPost(t, words, x, y), observed)
+                     for t, words, x, y, observed in saved["posts"]]
+        for i, (post, observed) in enumerate(new_posts, start=len(posts)):
+            try:
+                post.validate(hyper.vocab_size, with_location=observed)
+            except ValueError as exc:
+                raise ValueError(f"post {i}: {exc}") from None
+            self.post_tail = (post, observed, self.post_tail)
+            self.t_last = post.t
+        posts += new_posts
+        summaries += [PatternSummary(size, tuple(mean), scale, alpha, tau, span,
+                                     [tuple(kv) for kv in top])
+                      for size, mean, scale, alpha, tau, span, top in saved["summaries"]]
+        counts = {len(saved[k]) for k in ("particles", "rngs", "log_weights")}
+        if counts != {hyper.n_particles}:
+            raise ValueError(f"particles, rngs and log_weights must each number "
+                             f"n_particles = {hyper.n_particles}")
+        out = []
+        for i, particle in enumerate(saved["particles"]):
+            j = particle["from"]
+            # the first line has no ancestors; each later one names one per particle
+            valid = j is None if not heads else isinstance(j, int) and 0 <= j < len(heads)
+            if not valid:
+                raise ValueError(f"particle {i}: from {j!r} out of range")
+            assign, archive = heads[j] if heads else (None, None)
+            labels = particle["labels"]
+            if len(labels) != len(new_posts):
+                raise ValueError(f"particle {i}: {len(labels)} assignments "
+                                 f"for {len(new_posts)} posts")
+            for label in labels:
+                assign = (label, assign)
+            for label, row in reversed(particle["archive"]):
+                if not 0 <= row < len(summaries):
+                    raise ValueError(f"particle {i}: summary row {row} out of range")
+                archive = (label, summaries[row], archive)
+            out.append((assign, archive))
+        return out
 
 
 def systematic_resample(system: ParticleSystem) -> ParticleSystem:

@@ -10,6 +10,8 @@ from sdhawkes.evaluation import GmmStreamPredictor, alpha_precision_records, spa
 from sdhawkes.smc import EngineConfig, ParticleSystem
 from sdhawkes.types import Hyperparams
 
+from checkpoint_lines import read_lines
+
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
@@ -111,8 +113,9 @@ def test_infer_resume_matches_straight_run(tmp_path, flags, stream):
                    "--checkpoint", ck, "--checkpoint-every", 40) == 0
     # re-running from the mid-stream checkpoint must land on the same result
     resumed_dir = tmp_path / "resumed"
-    mid = json.loads(ck.read_text())
-    assert len(mid["posts"]) == 80  # final checkpoint was written at the end
+    mid = read_lines(ck)
+    # final checkpoint was written at the end
+    assert sum(len(line["posts"]) for line in mid[1:]) == 80
     # rebuild a mid-stream checkpoint by stopping at 40
     ck40 = tmp_path / "ck40.json"
     half_dir = tmp_path / "half"
@@ -122,12 +125,43 @@ def test_infer_resume_matches_straight_run(tmp_path, flags, stream):
     assert run_cli("infer", "--input", half_posts, "--out-dir", half_dir,
                    "--seed", 13, "--top-k", 0, *flags, "--checkpoint", ck40) == 0
     # with pruning, the mid-stream checkpoint holds retired patterns
-    archives = [p["archive"] for p in json.loads(ck40.read_text())["particles"]]
+    archives = [p["archive"] for p in read_lines(ck40)[1]["particles"]]
     assert all(archives) == bool(flags)
     assert run_cli("infer", "--input", posts, "--out-dir", resumed_dir,
                    "--seed", 13, "--top-k", 0, "--resume", ck40) == 0
     for name in ("assignments.csv", "patterns.csv"):
         assert (resumed_dir / name).read_bytes() == (straight_dir / name).read_bytes()
+
+
+def test_infer_resume_appends_to_its_checkpoint(tmp_path):
+    posts, _ = gen_args(tmp_path, n=100, seed=13)
+    lines = posts.read_text().splitlines(keepends=True)
+
+    def infer(n, out, *flags):
+        head = tmp_path / f"posts{n}.jsonl"
+        head.write_text("".join(lines[:n]))
+        assert run_cli("infer", "--input", head, "--out-dir", tmp_path / out,
+                       "--top-k", 0, *flags) == 0
+
+    def same_outputs(a, b):
+        return all((tmp_path / a / name).read_bytes() == (tmp_path / b / name).read_bytes()
+                   for name in ("assignments.csv", "patterns.csv"))
+
+    infer(80, "straight80", "--seed", 13)
+    infer(100, "straight100", "--seed", 13)
+    ck = tmp_path / "ck.json"
+    infer(40, "part", "--seed", 13, "--checkpoint", ck)
+    before = ck.read_bytes()
+    infer(80, "resumed80", "--resume", ck, "--checkpoint", ck, "--checkpoint-every", 20)
+    # saves at posts 60 and 80 were appended: the first save's bytes are kept
+    assert ck.read_bytes().startswith(before)
+    assert [len(line["posts"]) for line in read_lines(ck)[1:]] == [40, 20, 20]
+    assert same_outputs("resumed80", "straight80")
+    # a second resume folds the appended lines
+    infer(100, "resumed100", "--resume", ck, "--checkpoint", ck)
+    assert ck.read_bytes().split(b"\n")[0] == before.split(b"\n")[0]
+    assert [len(line["posts"]) for line in read_lines(ck)[1:]] == [40, 20, 20, 20]
+    assert same_outputs("resumed100", "straight100")
 
 
 def test_config_file_precedence(tmp_path, capsys):
@@ -267,7 +301,7 @@ def test_infer_resume_rejects_mismatched_input(tmp_path, capsys):
     assert run_cli("infer", "--input", posts, "--out-dir", tmp_path / "a",
                    "--seed", 22, "--top-k", 0, "--particles", 2,
                    "--checkpoint", ck) == 0
-    vocab = json.loads(ck.read_text())["hyper"]["vocab_size"]
+    vocab = read_lines(ck)[0]["hyper"]["vocab_size"]
 
     short = tmp_path / "short.jsonl"
     short.write_text("\n".join(posts.read_text().splitlines()[:20]) + "\n")
@@ -503,7 +537,6 @@ def test_infer_resume_from_a_directory_names_it(tmp_path, capsys):
 
 
 def test_infer_checkpoint_cadence(tmp_path, monkeypatch):
-    posts, _ = gen_args(tmp_path, n=100, seed=6)
     saved_at = []
     save = ParticleSystem.save_checkpoint
 
@@ -512,9 +545,12 @@ def test_infer_checkpoint_cadence(tmp_path, monkeypatch):
         save(self, path)
 
     monkeypatch.setattr(ParticleSystem, "save_checkpoint", recording_save)
-    assert run_cli("infer", "--input", posts, "--out-dir", tmp_path / "run",
-                   "--seed", 6, "--top-k", 0, "--particles", 2,
-                   "--checkpoint", tmp_path / "ck.json",
-                   "--checkpoint-every", 40) == 0
-    # every 40th post, then the final save
-    assert saved_at == [40, 80, 100]
+    # every 40th post, then the final save unless the last post was saved
+    for n_posts, saves in ((100, [40, 80, 100]), (80, [40, 80])):
+        posts, _ = gen_args(tmp_path / str(n_posts), n=n_posts, seed=6)
+        saved_at.clear()
+        assert run_cli("infer", "--input", posts, "--out-dir", tmp_path / "run",
+                       "--seed", 6, "--top-k", 0, "--particles", 2,
+                       "--checkpoint", tmp_path / "ck.json",
+                       "--checkpoint-every", 40) == 0
+        assert saved_at == saves

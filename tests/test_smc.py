@@ -1,4 +1,3 @@
-import json
 import math
 from dataclasses import replace
 
@@ -18,6 +17,8 @@ from sdhawkes.hawkes import fit_kernel
 from sdhawkes.types import GeoPost, Hyperparams, Particle, PatternStats, pattern_summary
 
 from sdhawkes import smc
+
+from checkpoint_lines import read_lines, write_lines
 
 from oracles import (
     assignment_prior,
@@ -566,10 +567,21 @@ def test_checkpoint_resume_bit_for_bit(tmp_path, n_posts, split, hyper_kw, strea
     resumed = ParticleSystem.load_checkpoint(path)
     for i, post in enumerate(posts[split:], start=split):
         resumed.step(post, observe_location=i not in hidden)
+    # saving to the file it loaded from appends a line
+    resumed.save_checkpoint(path)
+    assert len(read_lines(path)) == 3
+    assert_same_system(straight, resumed)
+    assert_same_system(straight, ParticleSystem.load_checkpoint(path))
 
+
+def assert_same_system(straight, resumed):
+    """Bit for bit: weights, clock, resamples, random states, every
+    particle's assignments, archive and live statistics, and the MAP result."""
     assert np.array_equal(straight.log_weights, resumed.log_weights)
     assert straight.t_last == resumed.t_last
     assert straight.n_resamples == resumed.n_resamples
+    assert [r.bit_generator.state for r in [straight.resample_rng, *straight.rngs]] == \
+        [r.bit_generator.state for r in [resumed.resample_rng, *resumed.rngs]]
     for a, b in zip(straight.particles, resumed.particles):
         assert a.assignments() == b.assignments()
         assert a.S == b.S
@@ -638,7 +650,7 @@ def test_checkpoint_writes_each_pattern_once(tmp_path):
     assert any(archived_labels(p) for p in system.particles)
     path = tmp_path / "ckpt.json"
     system.save_checkpoint(path)
-    payload = json.loads(path.read_text())
+    lines = read_lines(path)
 
     def keys(obj):
         if isinstance(obj, dict):
@@ -647,17 +659,34 @@ def test_checkpoint_writes_each_pattern_once(tmp_path):
             return set().union(*map(keys, obj))
         return set()
 
-    assert not keys(payload) & set(PatternStats.__slots__)
+    assert not keys(lines) & set(PatternStats.__slots__)
     saved = archive_refs(system)
     n_distinct = len({id(summary) for summary in saved.values()})
     assert n_distinct < len(saved)
-    assert len(payload["summaries"]) == n_distinct
+    assert len(lines[1]["summaries"]) == n_distinct
     loaded = archive_refs(ParticleSystem.load_checkpoint(path))
     assert loaded.keys() == saved.keys()
     # shared exactly where the saved ones were: object identity maps one to one
     pairs = {(id(saved[k]), id(loaded[k])) for k in saved}
     assert len(pairs) == n_distinct == len({b for _, b in pairs})
     assert all(fields_repr(saved[k]) == fields_repr(loaded[k]) for k in saved)
+
+
+class TornFile:
+    """Takes the first 200 bytes of the write, then fails."""
+
+    def __init__(self, *args, **kwargs):
+        self.fh = open(*args, **kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:200])
+        raise OSError("disk full")
 
 
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
@@ -668,33 +697,112 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
         system.step(post)
     path = tmp_path / "ckpt.json"
     system.save_checkpoint(path)
+    first = path.read_text()
     for post in posts[15:]:
         system.step(post)
-
-    class TornFile:
-        """Takes the first 200 bytes of the write, then fails."""
-
-        def __init__(self, *args, **kwargs):
-            self.fh = open(*args, **kwargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, text):
-            self.fh.write(text[:200])
-            raise OSError("disk full")
 
     monkeypatch.setattr(smc, "open", TornFile, raising=False)
     with pytest.raises(OSError, match="disk full"):
         system.save_checkpoint(path)
     monkeypatch.undo()
+    # the save tore an append: the first save's lines, then 200 bytes
+    torn = path.read_text()
+    assert torn.startswith(first) and len(torn) == len(first) + 200
     assert ParticleSystem.load_checkpoint(path).n == 15
     assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
     system.save_checkpoint(path)
     assert ParticleSystem.load_checkpoint(path).n == 30
+
+
+def test_torn_rewrite_leaves_the_previous_file(tmp_path, monkeypatch):
+    system, posts = pruned_five_tau(60)
+    path = tmp_path / "ckpt.json"
+    system.run(posts[:30]).save_checkpoint(path)
+    with open(path, "a") as fh:  # someone else's byte: the next save rewrites
+        fh.write("x")
+    before = path.read_bytes()
+    system.run(posts[30:])
+    monkeypatch.setattr(smc, "open", TornFile, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        system.save_checkpoint(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+    assert ParticleSystem.load_checkpoint(path).n == 30
+
+
+def test_checkpoint_line_holds_only_what_changed(tmp_path):
+    system, posts = pruned_five_tau(300)
+    path = tmp_path / "ckpt.json"
+    for n_prev in (0, 100, 200):
+        system.run(posts[n_prev:n_prev + 100]).save_checkpoint(path)
+    header, *saves = read_lines(path)
+    assert header["version"] == smc.CHECKPOINT_VERSION
+    assert len(saves) == 3
+    rows_before = 0
+    for n_prev, line in zip((0, 100, 200), saves):
+        # exactly the posts stepped since the previous save
+        assert [p[0] for p in line["posts"]] == [p.t for p in posts[n_prev:n_prev + 100]]
+        assert all(len(p["labels"]) == 100 for p in line["particles"])
+        assert all((p["from"] is None) == (n_prev == 0) for p in line["particles"])
+        # its new archive nodes refer to exactly the rows it writes, none earlier
+        refs = {row for p in line["particles"] for _, row in p["archive"]}
+        assert refs == set(range(rows_before, rows_before + len(line["summaries"])))
+        rows_before += len(line["summaries"])
+    assert rows_before > 0
+    assert_same_system(system, ParticleSystem.load_checkpoint(path))
+
+
+def test_checkpoint_appends_only_to_the_file_it_left(tmp_path):
+    system, posts = pruned_five_tau(300)
+    other, _ = pruned_five_tau(300)
+    path = tmp_path / "ckpt.json"
+    system.run(posts[:100]).save_checkpoint(path)
+    first = path.read_bytes()
+    system.run(posts[100:150]).save_checkpoint(path)
+    assert path.read_bytes().startswith(first)
+    assert len(read_lines(path)) == 3
+    # another system's save replaces the file; this system then rewrites it
+    other.run(posts[:50]).save_checkpoint(path)
+    system.run(posts[150:200]).save_checkpoint(path)
+    assert len(read_lines(path)) == 2
+    assert_same_system(system, ParticleSystem.load_checkpoint(path))
+    # one byte appended by anyone: the next save rewrites the file whole
+    with open(path, "ab") as fh:
+        fh.write(b"\n")
+    system.run(posts[200:]).save_checkpoint(path)
+    assert len(read_lines(path)) == 2
+    assert_same_system(system, ParticleSystem.load_checkpoint(path))
+
+
+def test_two_saves_at_the_same_n_load_the_same_state(tmp_path):
+    system, posts = pruned_five_tau(300)
+    path = tmp_path / "ckpt.json"
+    system.run(posts[:150]).save_checkpoint(path)
+    once = ParticleSystem.load_checkpoint(path)
+    system.save_checkpoint(path)
+    last = read_lines(path)[-1]
+    assert len(read_lines(path)) == 3 and last["posts"] == [] and last["summaries"] == []
+    twice = ParticleSystem.load_checkpoint(path)
+    assert_same_system(once, twice)
+    assert_same_system(system, twice)
+
+
+def test_final_line_that_does_not_parse_is_a_torn_append(tmp_path):
+    system, posts = pruned_five_tau(300)
+    path = tmp_path / "ckpt.json"
+    system.run(posts[:150]).save_checkpoint(path)
+    system.run(posts[150:]).save_checkpoint(path)
+    text = path.read_text()
+    head, middle, last, _ = text.split("\n")
+    for torn in (last[:len(last) // 2], last[:len(last) // 2] + "\n", "\0" * 50 + "\n"):
+        path.write_text(f"{head}\n{middle}\n{torn}")
+        loaded = ParticleSystem.load_checkpoint(path)
+        assert loaded.n == 150
+        # a save of the loaded system replaces the torn file, never appends to it
+        loaded.save_checkpoint(path)
+        assert len(read_lines(path)) == 2
+        assert_same_system(loaded, ParticleSystem.load_checkpoint(path))
 
 
 def test_checkpoint_keeps_numpy_word_ids(tmp_path):
@@ -715,15 +823,16 @@ def test_checkpoint_version_guard(tmp_path):
     system.step(GeoPost(t=0.1, words=[0], x=0.5, y=0.5))
     path = tmp_path / "ckpt.json"
     system.save_checkpoint(path)
-    payload = json.loads(path.read_text())
-    assert payload["version"] == smc.CHECKPOINT_VERSION
+    lines = read_lines(path)
+    assert lines[0]["version"] == smc.CHECKPOINT_VERSION
     # 2 is the layout before the decay sum was stored once, 3 the one that
     # wrote each particle's own copy of a shared pattern, 4 the one that
-    # wrote pattern statistics
-    for version in (2, 3, 4, 999):
-        payload["version"] = version
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError):
+    # wrote pattern statistics, 5 the one that rewrote the whole state as
+    # one JSON object on every save
+    for version in (2, 3, 4, 5, 999):
+        lines[0]["version"] = version
+        write_lines(path, lines)
+        with pytest.raises(ValueError, match=f"version {version};"):
             ParticleSystem.load_checkpoint(path)
 
 
@@ -734,30 +843,66 @@ def _set(payload, keys, value):
     payload[last] = value
 
 
+def corrupted(tmp_path, corrupt, n_saves):
+    """A checkpoint of 300 posts saved in ``n_saves`` equal parts, then
+    ``corrupt(text, lines)``: it returns the new text, or edits the parsed
+    lines in place."""
+    system, posts = pruned_five_tau(300)
+    path = tmp_path / "ckpt.json"
+    step = 300 // n_saves
+    for start in range(0, 300, step):
+        system.run(posts[start:start + step]).save_checkpoint(path)
+    text = path.read_text()
+    lines = read_lines(path)
+    new = corrupt(text, lines)
+    if isinstance(new, str):
+        path.write_text(new)
+    else:
+        write_lines(path, lines)
+    return path
+
+
 @pytest.mark.parametrize("corrupt, problem", [
     (lambda text, p: "[1, 2]", "not a JSON object"),
-    (lambda text, p: text[:len(text) // 2], "Expecting|Unterminated"),
-    (lambda text, p: p.pop("rngs") and json.dumps(p), "missing field 'rngs'"),
-    (lambda text, p: _set(p, ["particles", 0, "archive", 0, 1], 10**6) or json.dumps(p),
+    (lambda text, p: text[:text.index("\n") // 2], "Expecting|Unterminated"),
+    (lambda text, p: p[1].pop("rngs"), "missing field 'rngs'"),
+    (lambda text, p: _set(p, [1, "particles", 0, "archive", 0, 1], 10**6),
      "particle 0: summary row 1000000 out of range"),
-    (lambda text, p: _set(p, ["particles", 1, "assignments", 5], 99) or json.dumps(p),
+    (lambda text, p: _set(p, [1, "particles", 1, "labels", 5], 99),
      "particle 1: label 99 out of range"),
-    (lambda text, p: _set(p, ["particles", 0, "archive", 0, 0], 10**6) or json.dumps(p),
+    (lambda text, p: _set(p, [1, "particles", 0, "archive", 0, 0], 10**6),
      "particle 0: archived label out of range"),
-    (lambda text, p: p["particles"][2]["assignments"].pop() and json.dumps(p),
+    (lambda text, p: p[1]["particles"][2]["labels"].pop(),
      "particle 2: 299 assignments for 300 posts"),
-    (lambda text, p: p["posts"].pop() and json.dumps(p), "assignments for 299 posts"),
-    (lambda text, p: _set(p, ["posts", 7, 1], [0, 30]) or json.dumps(p),
+    (lambda text, p: p[1]["posts"].pop(), "assignments for 299 posts"),
+    (lambda text, p: _set(p, [1, "posts", 7, 1], [0, 30]),
      "post 7: post field words holds id 30"),
-    (lambda text, p: p["particles"].pop() and json.dumps(p), "must each number n_particles = 4"),
+    (lambda text, p: p[1]["particles"].pop(), "must each number n_particles = 4"),
 ], ids=["list", "truncated", "no-rngs", "row", "label", "archived-label",
         "assignment-count", "post-count", "invalid-post", "particle-count"])
 def test_malformed_checkpoint_is_named(tmp_path, corrupt, problem):
-    system, posts = pruned_five_tau(300)
-    path = tmp_path / "ckpt.json"
-    system.run(posts).save_checkpoint(path)
-    text = path.read_text()
-    path.write_text(corrupt(text, json.loads(text)))
+    path = corrupted(tmp_path, corrupt, n_saves=1)
+    with pytest.raises(ValueError, match=problem) as caught:
+        ParticleSystem.load_checkpoint(path)
+    assert str(path) in str(caught.value)
+
+
+@pytest.mark.parametrize("corrupt, problem", [
+    (lambda text, p: "\n".join(line[:100] if i == 1 else line
+                               for i, line in enumerate(text.split("\n"))),
+     "line 2: (Expecting|Unterminated)"),
+    (lambda text, p: _set(p, [2, "particles", 0, "from"], 4),
+     "line 3: particle 0: from 4 out of range"),
+    (lambda text, p: _set(p, [2, "particles", 3, "from"], None),
+     "line 3: particle 3: from None out of range"),
+    (lambda text, p: _set(p, [1, "particles", 0, "from"], 0),
+     "line 2: particle 0: from 0 out of range"),
+    (lambda text, p: p[2]["particles"][1]["labels"].pop(),
+     "line 3: particle 1: 149 assignments for 150 posts"),
+    (lambda text, p: text[:text.index("\n") + 1], "no complete save line"),
+], ids=["middle-line", "from", "from-null", "from-on-first-line", "label-count", "header-only"])
+def test_malformed_checkpoint_line_is_named(tmp_path, corrupt, problem):
+    path = corrupted(tmp_path, corrupt, n_saves=2)
     with pytest.raises(ValueError, match=problem) as caught:
         ParticleSystem.load_checkpoint(path)
     assert str(path) in str(caught.value)
