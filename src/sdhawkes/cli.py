@@ -155,7 +155,6 @@ def _refuse_resume_overrides(args, system: ParticleSystem) -> None:
     config = system.config
     saved = {**asdict(system.hyper), "particles": system.hyper.n_particles,
              "seed": config.seed, "spatial_off": not config.spatial,
-             "fast_refit": not config.refit_all,
              "prune": config.prune_threshold > 0.0}
     differ = []
     for key, value in saved.items():
@@ -173,6 +172,10 @@ def _refuse_resume_overrides(args, system: ParticleSystem) -> None:
 
 def cmd_infer(args) -> int:
     conf = _resolve(args)
+    try:
+        trace_labels = [int(v) for v in args.traces.split(",")] if args.traces else ()
+    except ValueError:
+        raise ValueError(f"--traces {args.traces}: not comma-separated integer labels") from None
     if args.checkpoint_every is not None:
         if args.checkpoint_every < 1:
             raise ValueError(f"--checkpoint-every must be >= 1, "
@@ -206,7 +209,6 @@ def cmd_infer(args) -> int:
         engine = EngineConfig(
             spatial=not args.spatial_off,
             seed=conf["seed"],
-            refit_all=not args.fast_refit,
             prune_threshold=1e-12 if args.prune else 0.0,
         )
         system = ParticleSystem(hyper, engine)
@@ -219,8 +221,6 @@ def cmd_infer(args) -> int:
     if args.checkpoint and saved_at != system.n:
         system.save_checkpoint(args.checkpoint)
     result = system.map_estimate()
-    trace_labels = ([int(v) for v in args.traces.split(",")]
-                    if args.traces else ())
     paths = export_results(result, args.out_dir, projection=data.projection,
                            vocab=data.vocab, trace_labels=trace_labels,
                            times=[p.t for p in data.posts])
@@ -416,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k", type=int, default=None)
     p.add_argument("--spatial-off", action="store_true",
                    help="content+time baseline")
-    p.add_argument("--fast-refit", action="store_true")
     p.add_argument("--prune", action="store_true")
     p.add_argument("--checkpoint", type=Path, default=None)
     p.add_argument("--checkpoint-every", type=int, default=None)

@@ -19,9 +19,10 @@ Particles use copy-on-write state: pattern statistics are shared between
 resampled offspring until one of them mutates, assignment histories are
 shared cons chains, and (optionally) patterns whose possible intensity
 contribution has decayed to nothing retire to a shared archive that keeps
-only their final ``PatternSummary``. This keeps the per-post cost, and the
+only their label and retirement time. This keeps the per-post cost, and the
 statistics held, proportional to the number of *live* patterns. Statistics
-are never written to a checkpoint: loading replays them from the posts. A
+are derived, never stored: ``map_estimate`` replays the retired patterns it
+reports from the posts, and loading a checkpoint replays the live ones. A
 checkpoint is a log to which each save appends only what changed since the
 previous save, so a save costs the same late in a stream as early on.
 """
@@ -58,7 +59,7 @@ __all__ = [
     "incremental_weight",
 ]
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 
 def _identity(path: str) -> tuple | None:
@@ -102,13 +103,15 @@ class ParticleSystem:
         hyper.validate()
         self.hyper = hyper
         self.config = config or EngineConfig()
-        if self.config.fixed_kernel is not None:
-            alpha0, tau0 = self.config.fixed_kernel
+        self.kernel0 = self.config.fixed_kernel  # each new pattern's (alpha, tau)
+        if self.kernel0 is not None:
+            alpha0, tau0 = self.kernel0
             if alpha0 < 0 or tau0 <= 0:
                 raise ValueError("fixed kernel needs alpha >= 0 and tau > 0")
             self.cache_taus: tuple[float, ...] = (tau0,)
         else:
             self.cache_taus = hyper.psi_tau
+            self.kernel0 = (hyper.alpha_time / hyper.beta_time, hyper.psi_tau[0])
         self.n = 0
         self.t_last = 0.0
         # the stepped posts, newest first: a cons chain (post, observed, next)
@@ -121,8 +124,8 @@ class ParticleSystem:
         self.rngs = [np.random.default_rng(s) for s in children[:-1]]
         self.resample_rng = np.random.default_rng(children[-1])
         self.n_resamples = 0
-        # (path, file identity, n, summary rows, each particle's chains) as of
-        # the last save or load: the state a checkpoint append extends
+        # (path, file identity, n, each particle's chains) as of the last
+        # save or load: the state a checkpoint append extends
         self._saved: tuple | None = None
 
     # ------------------------------------------------------------------
@@ -142,17 +145,12 @@ class ParticleSystem:
 
         scored = score_candidates(self.particles, post, hyper, cfg, t_prev,
                                   spatial=spatial_obs, prune_abs=prune_abs)
-        # the prune test reads only the (shared) statistics and the clock, so
-        # particles sharing a pattern retire it together: freeze it once
-        frozen: dict[PatternStats, PatternSummary] = {}
         for p_idx, (particle, (labels, scores, _, big_lambda, prune)) in enumerate(
                 zip(self.particles, scored)):
             rng = self.rngs[p_idx]
             for label in prune:
-                stats = particle.patterns.pop(label)
-                if stats not in frozen:
-                    frozen[stats] = self._summary(stats, t_prev)
-                particle.archive = (label, frozen[stats], particle.archive)
+                del particle.patterns[label]
+                particle.archive = (label, t_prev, particle.archive)
 
             m = max(scores)
             exps = [exp(s - m) for s in scores]
@@ -185,18 +183,32 @@ class ParticleSystem:
                 observed: bool) -> PatternStats:
         """Add ``post`` to pattern ``label`` (new if it is ``particle.S``)
         and return the pattern's statistics."""
-        hyper = self.hyper
-        psi = self.cache_taus
-        fixed = self.config.fixed_kernel
         if label == particle.S:
-            alpha, tau = fixed or (hyper.alpha_time / hyper.beta_time, psi[0])
-            stats = PatternStats(len(psi), alpha, tau, 0, owner=particle.token)
-            particle.patterns[label] = stats
+            stats = particle.patterns[label] = PatternStats(
+                len(self.cache_taus), *self.kernel0, 0, owner=particle.token)
             particle.S += 1
         else:
             stats = particle.writable(label)
-        stats.attach(post.t, post.words, post.x, post.y, psi, with_location=observed)
+        stats.attach(post.t, post.words, post.x, post.y, self.cache_taus,
+                     with_location=observed)
         return stats
+
+    def _replay(self, labels, keep, owner: object | None = None) -> dict[int, PatternStats]:
+        """The statistics of each pattern whose label is in ``keep``, rebuilt
+        from the stepped posts and ``labels`` (one per post, oldest first),
+        each kernel fit once, at the pattern's last post: the state ``step``
+        left them in, bit for bit."""
+        psi = self.cache_taus
+        out: dict[int, PatternStats] = {}
+        for (post, observed), label in zip(self.posts(), labels):
+            if label in keep:
+                stats = out.get(label)
+                if stats is None:
+                    stats = out[label] = PatternStats(len(psi), *self.kernel0, 0, owner=owner)
+                stats.attach(post.t, post.words, post.x, post.y, psi, with_location=observed)
+        for stats in out.values():
+            self._fit(stats)
+        return out
 
     def _fit(self, stats: PatternStats) -> None:
         """Refit the stored kernel at the pattern's latest post, unless fixed."""
@@ -271,8 +283,9 @@ class ParticleSystem:
         path-wise evidence product, which does not rank hypotheses by
         posterior mass once particle counts grow.
         Live patterns are summarized at the latest post (with refitting on,
-        each kernel is refit there); a retired pattern's summary was frozen
-        when it was last scored and is read as it is.
+        each kernel is refit there). Retired patterns are replayed from the
+        posts and summarized at their retirement time, the time they were
+        last scored, so this costs O(posts) like the history walk above.
         """
         if self.n < 1:
             raise ValueError("no posts processed")
@@ -288,9 +301,12 @@ class ParticleSystem:
         summaries = [None] * particle.S  # labels are 0..S-1, each used
         for label, stats in particle.patterns.items():
             summaries[label] = self._summary(stats, self.t_last)
+        retired = {}  # label -> retirement time
         node = particle.archive
         while node is not None:
-            label, summaries[label], node = node
+            label, retired[label], node = node
+        for label, stats in self._replay(best_key, retired).items():
+            summaries[label] = self._summary(stats, retired[label])
         return ClusteringResult(
             assignments=list(best_key),
             summaries=summaries,
@@ -303,10 +319,10 @@ class ParticleSystem:
     def save_checkpoint(self, path) -> None:
         """Save the system to ``path``, a JSON-lines log: a header (version,
         hyper, config), then one line per save. A line holds the posts
-        stepped since the previous line, the summaries frozen since, and for
-        each particle its ancestor at the previous line (``from``), its
-        labels of the new posts and the archive nodes it gained; the weights,
-        random states and resample count follow.
+        stepped since the previous line and, for each particle, its ancestor
+        at the previous line (``from``), its labels of the new posts and the
+        archive nodes (label, retirement time) it gained; the weights, random
+        states and resample count follow.
 
         If ``path`` is exactly as this system's last save or load left it,
         the line is appended by one write, and its final newline commits it.
@@ -314,9 +330,9 @@ class ParticleSystem:
         file that is renamed over ``path``."""
         path = os.fspath(path)
         if self._saved is not None and self._saved[:2] == (path, _identity(path)):
-            _, _, n_prev, n_rows, heads = self._saved
+            _, _, n_prev, heads = self._saved
         else:
-            n_prev, n_rows, heads = 0, 0, []
+            n_prev, heads = 0, []
         steps = self.n - n_prev
         posts = []
         node = self.post_tail
@@ -326,8 +342,6 @@ class ParticleSystem:
         # a particle's ancestor at the previous save holds the assignment node
         # ``steps`` back in its chain; its archive head ends the new nodes
         ancestor = {id(assign): j for j, (assign, _) in enumerate(heads)}
-        rows: dict[int, int] = {}  # id(summary) -> row index
-        summary_rows: list[list] = []
         particles = []
         for particle in self.particles:
             labels = []
@@ -340,18 +354,11 @@ class ParticleSystem:
             node = particle.archive
             stop = heads[j][1] if heads else None
             while node is not stop:
-                label, summary, node = node
-                # a summary is frozen in the step that archives it, so every
-                # summary a new node holds is new: each is written once
-                if id(summary) not in rows:
-                    rows[id(summary)] = n_rows + len(summary_rows)
-                    summary_rows.append([getattr(summary, name)
-                                         for name in PatternSummary.__slots__])
-                archive.append([label, rows[id(summary)]])
+                label, t_retired, node = node
+                archive.append([label, t_retired])
             particles.append({"from": j, "labels": labels[::-1], "archive": archive})
         line = json.dumps({
             "posts": posts[::-1],
-            "summaries": summary_rows,
             "particles": particles,
             "n_resamples": self.n_resamples,
             "log_weights": [float(v) for v in self.log_weights],
@@ -375,17 +382,16 @@ class ParticleSystem:
                 with contextlib.suppress(FileNotFoundError):
                     os.unlink(tmp)
                 raise
-        self._saved = (path, _identity(path), self.n, n_rows + len(summary_rows),
+        self._saved = (path, _identity(path), self.n,
                        [(p.assign_tail, p.archive) for p in self.particles])
 
     @classmethod
     def load_checkpoint(cls, path) -> "ParticleSystem":
         """Rebuild a system written by ``save_checkpoint``: fold the lines in
         order into shared assignment and archive chains, then replay each
-        particle's live patterns from its assignments of the saved posts and
-        fit each kernel once, at the pattern's latest post. A final line
-        without a newline, or that does not parse, is a torn append and is
-        ignored, so the previous save loads.
+        particle's live patterns from its assignments of the saved posts. A
+        final line without a newline, or that does not parse, is a torn
+        append and is ignored, so the previous save loads.
         Raises ValueError naming ``path`` if it is not a valid checkpoint."""
         try:
             with open(path, "rb") as fh:
@@ -404,7 +410,6 @@ class ParticleSystem:
                 config_d["fixed_kernel"] = tuple(config_d["fixed_kernel"])
             system = cls(hyper, EngineConfig(**config_d))
             posts: list[tuple[GeoPost, bool]] = []
-            summaries: list[PatternSummary] = []
             heads: list[tuple] = []  # each particle's (assignments, archive) chains
             size = len(lines[0]) + 1  # the bytes of the lines loaded
             # the complete lines after the header; the text after the final
@@ -417,59 +422,54 @@ class ParticleSystem:
                         break  # a torn final line
                     raise ValueError(f"line {number}: {exc}") from None
                 try:
-                    heads = system._fold(saved, posts, summaries, heads)
-                except (TypeError, ValueError) as exc:
+                    heads = system._fold(saved, posts, heads)
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise ValueError(f"line {number}: {exc}") from None
                 size += len(text) + 1
                 last = saved
             if not heads:
                 raise ValueError("no complete save line")
             for i, (particle, (assign, archive)) in enumerate(zip(system.particles, heads)):
-                labels = []
-                node = assign
-                while node is not None:
-                    label, node = node
-                    labels.append(label)
-                retired = set()
-                node = particle.archive = archive
-                while node is not None:
-                    label, _, node = node
-                    retired.add(label)
-                # a label is new where it first appears, so it is at most S;
-                # posts of retired labels leave no live statistics
-                for (post, observed), label in zip(posts, reversed(labels)):
+                # the folded chains keep the sharing
+                particle.assign_tail, particle.archive = assign, archive
+                labels = particle.assignments()
+                # a label is new where it first appears, so it is at most S
+                for label in labels:
                     if not (isinstance(label, int) and 0 <= label <= particle.S):
                         raise ValueError(f"particle {i}: label {label!r} out of range")
-                    if label in retired:
-                        particle.S = max(particle.S, label + 1)
-                    else:
-                        system._attach(particle, label, post, observed)
-                if not retired <= set(range(particle.S)):
-                    raise ValueError(f"particle {i}: archived label out of range")
-                particle.assign_tail = assign  # the folded chain keeps the sharing
-                # only the fit after a pattern's last post survives
-                for stats in particle.patterns.values():
-                    system._fit(stats)
+                    particle.S = max(particle.S, label + 1)
+                live = set(range(particle.S))
+                node = archive
+                while node is not None:
+                    label, _, node = node
+                    if label not in live:
+                        raise ValueError(f"particle {i}: archived label out of range "
+                                         f"or repeated: {label!r}")
+                    live.remove(label)
+                particle.patterns = system._replay(labels, live, particle.token)
             system.n = len(posts)
             system.n_resamples = last["n_resamples"]
             system.log_weights = np.array(last["log_weights"], dtype=float)
-            w = np.exp(system.log_weights)
-            system.weights = w / w.sum()
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                w = np.exp(system.log_weights)
+                system.weights = w / w.sum()
+            if not np.all(np.isfinite(system.weights)):
+                raise ValueError(f"log_weights {last['log_weights']} give non-finite weights")
             system.resample_rng.bit_generator.state = last["resample_rng"]
             for rng, state in zip(system.rngs, last["rngs"]):
                 rng.bit_generator.state = state
         except KeyError as exc:
             raise ValueError(f"checkpoint {path}: missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"checkpoint {path}: {exc}") from None
         system._saved = (os.fspath(path), (stat.st_dev, stat.st_ino, size, stat.st_mtime_ns),
-                         system.n, len(summaries), heads)
+                         system.n, heads)
         return system
 
-    def _fold(self, saved: dict, posts: list, summaries: list, heads: list) -> list:
-        """Add one save line's posts and summary rows to ``posts`` and
-        ``summaries`` and return each particle's chains after it, built on
-        its ancestor's in ``heads`` (the chains after the previous line)."""
+    def _fold(self, saved: dict, posts: list, heads: list) -> list:
+        """Add one save line's posts to ``posts`` and return each particle's
+        chains after it, built on its ancestor's in ``heads`` (the chains
+        after the previous line)."""
         hyper = self.hyper
         new_posts = [(GeoPost(t, words, x, y), observed)
                      for t, words, x, y, observed in saved["posts"]]
@@ -478,12 +478,12 @@ class ParticleSystem:
                 post.validate(hyper.vocab_size, with_location=observed)
             except ValueError as exc:
                 raise ValueError(f"post {i}: {exc}") from None
+            if post.t < self.t_last:
+                raise ValueError(f"post {i}: t={post.t} precedes the previous post's "
+                                 f"t={self.t_last}")
             self.post_tail = (post, observed, self.post_tail)
             self.t_last = post.t
         posts += new_posts
-        summaries += [PatternSummary(size, tuple(mean), scale, alpha, tau, span,
-                                     [tuple(kv) for kv in top])
-                      for size, mean, scale, alpha, tau, span, top in saved["summaries"]]
         counts = {len(saved[k]) for k in ("particles", "rngs", "log_weights")}
         if counts != {hyper.n_particles}:
             raise ValueError(f"particles, rngs and log_weights must each number "
@@ -502,10 +502,11 @@ class ParticleSystem:
                                  f"for {len(new_posts)} posts")
             for label in labels:
                 assign = (label, assign)
-            for label, row in reversed(particle["archive"]):
-                if not 0 <= row < len(summaries):
-                    raise ValueError(f"particle {i}: summary row {row} out of range")
-                archive = (label, summaries[row], archive)
+            for label, t_retired in reversed(particle["archive"]):
+                if not (isinstance(t_retired, (int, float)) and math.isfinite(t_retired)):
+                    raise ValueError(f"particle {i}: retirement time {t_retired!r} "
+                                     f"is not a finite number")
+                archive = (label, t_retired, archive)
             out.append((assign, archive))
         return out
 

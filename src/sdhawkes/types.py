@@ -224,9 +224,8 @@ class Particle:
     The assignment history is a shared cons chain (label, parent) so cloning
     a particle is O(1) in the history length; ``patterns`` maps label ->
     PatternStats of the live patterns with copy-on-write semantics via the
-    ``token`` object, and ``archive`` is a shared cons chain (label, summary,
-    next) of patterns retired by pruning, each frozen into the
-    ``PatternSummary`` it had when it was last scored.
+    ``token`` object, and ``archive`` is a shared cons chain (label, t, next)
+    of the patterns retired by pruning, each with the time it was last scored.
     """
 
     __slots__ = ("token", "assign_tail", "patterns", "archive", "S")

@@ -200,6 +200,18 @@ def test_infer_rejects_unknown_trace_label(tmp_path):
     assert not out_dir.exists()
 
 
+def test_infer_refuses_malformed_traces_before_reading_input(tmp_path, capsys, monkeypatch):
+    posts, _ = gen_args(tmp_path, n=30, seed=6)
+    monkeypatch.setattr("sdhawkes.cli.load_posts", lambda *a, **k: pytest.fail("read input"))
+    capsys.readouterr()
+    code = run_cli("infer", "--input", posts, "--out-dir", tmp_path / "run", "--top-k", 0,
+                   "--particles", 2, "--traces", "0,x", "--checkpoint", tmp_path / "ck")
+    assert code == 1
+    assert "--traces 0,x" in capsys.readouterr().err
+    assert not (tmp_path / "ck").exists()
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("burn_in, window", [(30, 0), (-5, 100)])
 def test_gof_rejects_bad_scan_bounds(tmp_path, burn_in, window):
     posts, _ = gen_args(tmp_path, n=120, seed=16)
@@ -377,7 +389,6 @@ def test_infer_resume_refuses_flags_that_differ_from_checkpoint(tmp_path, capsys
     for flags, named in [
         (("--psi-tau", "1,7"), "--psi-tau (1.0, 7.0) (checkpoint: (1.0,))"),
         (("--prune",), "--prune True (checkpoint: False)"),
-        (("--fast-refit",), "--fast-refit True (checkpoint: False)"),
         (("--vocab-size", 3), "--vocab-size 3 (checkpoint: "),
     ]:
         assert resume("bad", *flags) == 1

@@ -43,7 +43,8 @@ def make_stream(n_posts, seed=0, hyper=None, **cfg_kw):
 
 
 def archived(particle):
-    """(label, summary) of each pattern retired to the archive, newest first."""
+    """(label, retirement time) of each pattern retired to the archive,
+    newest first."""
     node = particle.archive
     while node is not None:
         yield node[0], node[1]
@@ -290,8 +291,10 @@ def test_step_contract():
         assert abs(system.weights.sum() - 1.0) < 1e-12
         for p in system.particles:
             assert len(p.assignments()) == i + 1
+            retired = dict(archived(p))
+            assert not retired.keys() & p.patterns.keys()
             total = (sum(s.n_posts for s in p.patterns.values())
-                     + sum(s.size for _, s in archived(p)))
+                     + sum(label in retired for label in p.assignments()))
             assert total == i + 1
             assert all(label < p.S for label in p.assignments())
 
@@ -343,8 +346,8 @@ def test_hidden_post_location_is_not_read():
 
 def test_state_replay_consistency():
     # after heavy resampling, every particle's pattern statistics, and the
-    # summaries of its retired patterns, must equal a from-scratch replay of
-    # its assignment history (copy-on-write safety)
+    # summaries map_estimate gives its retired patterns, must equal a
+    # from-scratch replay of its assignment history (copy-on-write safety)
     hyper = base_hyper(n_particles=8)
     runs = [(ParticleSystem(hyper, EngineConfig(seed=7, prune_threshold=prune)),
              make_stream(300, seed=7)) for prune in (0.0, 1e-12)]
@@ -352,7 +355,10 @@ def test_state_replay_consistency():
     for system, posts in runs:
         system.run(posts)
         assert system.n_resamples > 0
-        for particle in system.particles:
+        weights = system.weights
+        for i, particle in enumerate(system.particles):
+            system.weights = np.eye(len(system.particles))[i]  # particle i is the MAP
+            summaries = system.map_estimate().summaries
             assign = particle.assignments()
             replayed: dict[int, PatternStats] = {}
             for post, label in zip(posts, assign):
@@ -365,20 +371,18 @@ def test_state_replay_consistency():
             retired = dict(archived(particle))
             assert set(stored) | set(retired) == set(replayed)
             assert not set(stored) & set(retired)
-            for label, summary in retired.items():
+            for label in retired:
+                got = summaries[label]
                 want = pattern_summary(replayed.pop(label), system.hyper.beta_space)
-                assert (summary.size, summary.time_span, summary.top_words) == \
-                    (want.size, want.time_span, want.top_words)
-                assert summary.mean == pytest.approx(want.mean, rel=1e-9, abs=1e-12)
-                assert summary.scale == pytest.approx(want.scale, rel=1e-9, abs=1e-12)
+                assert repr((got.size, got.time_span, got.top_words, got.mean, got.scale)) == \
+                    repr((want.size, want.time_span, want.top_words, want.mean, want.scale))
             for label, rep in replayed.items():
                 st = stored[label]
                 assert st.n_posts == rep.n_posts
                 assert st.event_times == rep.event_times
                 assert st.word_counts == rep.word_counts
-                assert st.mean_x == pytest.approx(rep.mean_x, rel=1e-9, abs=1e-12)
-                assert st.mean_y == pytest.approx(rep.mean_y, rel=1e-9, abs=1e-12)
-                assert st.m2 == pytest.approx(rep.m2, rel=1e-9, abs=1e-12)
+                assert (st.mean_x, st.mean_y, st.m2) == (rep.mean_x, rep.mean_y, rep.m2)
+        system.weights = weights
 
 
 def test_hidden_location_excluded_from_stats():
@@ -540,6 +544,15 @@ def pruned_five_tau(n_posts):
     return ParticleSystem(hyper, EngineConfig(seed=13, prune_threshold=1e-12)), posts
 
 
+def pruned_short_tau(n_posts):
+    """Like ``pruned_five_tau``, on a stream drawn with the three shortest
+    time constants only, so that patterns of several posts retire too."""
+    hyper = base_hyper(n_particles=4, **FIVE_TAU_HYPER)
+    posts = make_stream(n_posts, seed=13, hyper=replace(hyper, psi_tau=FIVE_TAUS[:3]),
+                        **FIVE_TAU_STREAM)
+    return ParticleSystem(hyper, EngineConfig(seed=13, prune_threshold=1e-12)), posts
+
+
 @pytest.mark.parametrize("n_posts, split, hyper_kw, stream_kw, config_kw, hidden", [
     (80, 40, {}, {}, {}, set()),
     (400, 200, FIVE_TAU_HYPER, FIVE_TAU_STREAM, dict(prune_threshold=1e-12), set()),
@@ -585,8 +598,7 @@ def assert_same_system(straight, resumed):
     for a, b in zip(straight.particles, resumed.particles):
         assert a.assignments() == b.assignments()
         assert a.S == b.S
-        assert [(label, fields_repr(s)) for label, s in archived(a)] == \
-            [(label, fields_repr(s)) for label, s in archived(b)]
+        assert list(archived(a)) == list(archived(b))
         assert set(a.patterns) == set(b.patterns)
         for label, sa in a.patterns.items():
             sb = b.patterns[label]
@@ -602,13 +614,7 @@ def assert_same_system(straight, resumed):
     assert [fields_repr(r) for r in ra.summaries] == [fields_repr(r) for r in rb.summaries]
 
 
-def archive_refs(system):
-    """(particle index, label) -> the archived summary object."""
-    return {(i, label): summary for i, particle in enumerate(system.particles)
-            for label, summary in archived(particle)}
-
-
-def test_retirement_freezes_the_summary_without_copying(monkeypatch):
+def test_retirement_keeps_the_label_and_time_without_copying(monkeypatch):
     copied = []
     copy = PatternStats.copy
 
@@ -617,40 +623,63 @@ def test_retirement_freezes_the_summary_without_copying(monkeypatch):
         return copy(self, owner)
 
     monkeypatch.setattr(PatternStats, "copy", recording_copy)
-    system, posts = pruned_five_tau(400)
+    system, posts = pruned_short_tau(300)
     hyper = system.hyper
-    retired = shared = 0
+    # id(node) -> (node, the summary of the retired pattern as it was last
+    # scored: its statistics and the kernel refit at that time)
+    frozen = {}
+    shared = multi = 0
     for post in posts:
         before = [(p, p.token, dict(p.patterns), p.archive) for p in system.particles]
         t_prev = system.t_last
         copied.clear()
         system.step(post)
-        summary_of = {}  # id of a retired stats object -> its summary
         for particle, token, live, old_head in before:
             node = particle.archive
             while node is not old_head:
-                label, summary, node = node
+                label, t_retired, next_node = node
+                assert t_retired == t_prev
                 stats = live[label]
+                assert not any(c is stats for c in copied)
                 want = pattern_summary(stats, hyper.beta_space)
                 if stats.n_posts >= 2:
                     want.alpha, want.tau, _ = fit_kernel(stats, t_prev, hyper)
-                assert fields_repr(summary) == fields_repr(want)
-                assert not any(c is stats for c in copied)
-                # particles that shared the object share one summary
-                assert summary_of.setdefault(id(stats), summary) is summary
-                retired += 1
+                frozen[id(node)] = (node, fields_repr(want))
                 shared += stats.owner is not token
-    assert retired > 0 and shared > 0
+                multi += stats.n_posts >= 2
+                node = next_node
+    assert shared > 0 and multi > 0
+    checked = 0
+    for i, particle in enumerate(system.particles):
+        system.weights = np.eye(len(system.particles))[i]  # particle i is the MAP
+        summaries = system.map_estimate().summaries
+        node = particle.archive
+        while node is not None:
+            assert fields_repr(summaries[node[0]]) == frozen[id(node)][1]
+            node = node[2]
+            checked += 1
+    assert checked > 0
 
 
-def test_checkpoint_writes_each_pattern_once(tmp_path):
+def archive_nodes(system):
+    """(particle index, depth) -> the node of that particle's archive chain."""
+    out = {}
+    for i, particle in enumerate(system.particles):
+        node, depth = particle.archive, 0
+        while node is not None:
+            out[i, depth] = node
+            node, depth = node[2], depth + 1
+    return out
+
+
+def test_checkpoint_restores_archive_sharing_and_writes_no_statistics(tmp_path):
     system, posts = pruned_five_tau(300)
-    system.run(posts)
-    assert system.n_resamples > 0
-    assert any(archived_labels(p) for p in system.particles)
     path = tmp_path / "ckpt.json"
-    system.save_checkpoint(path)
+    for start in (0, 100, 200):
+        system.run(posts[start:start + 100]).save_checkpoint(path)
+    assert system.n_resamples > 0
     lines = read_lines(path)
+    assert len(lines) == 4
 
     def keys(obj):
         if isinstance(obj, dict):
@@ -659,17 +688,36 @@ def test_checkpoint_writes_each_pattern_once(tmp_path):
             return set().union(*map(keys, obj))
         return set()
 
-    assert not keys(lines) & set(PatternStats.__slots__)
-    saved = archive_refs(system)
-    n_distinct = len({id(summary) for summary in saved.values()})
-    assert n_distinct < len(saved)
-    assert len(lines[1]["summaries"]) == n_distinct
-    loaded = archive_refs(ParticleSystem.load_checkpoint(path))
-    assert loaded.keys() == saved.keys()
-    # shared exactly where the saved ones were: object identity maps one to one
-    pairs = {(id(saved[k]), id(loaded[k])) for k in saved}
-    assert len(pairs) == n_distinct == len({b for _, b in pairs})
-    assert all(fields_repr(saved[k]) == fields_repr(loaded[k]) for k in saved)
+    assert not keys(lines) & {"summaries", *PatternStats.__slots__}
+    loaded = ParticleSystem.load_checkpoint(path)
+    saved_nodes = archive_nodes(system)
+    loaded_nodes = archive_nodes(loaded)
+    assert loaded_nodes.keys() == saved_nodes.keys()
+    assert all(saved_nodes[k][:2] == loaded_nodes[k][:2] for k in saved_nodes)
+    # loading never shares a node between chains that the saved ones keep apart
+    pairs = {(id(saved_nodes[k]), id(loaded_nodes[k])) for k in saved_nodes}
+    assert len(pairs) == len({b for _, b in pairs})
+    assert len(pairs) < len(saved_nodes)  # and it does share
+
+    def tail(particle, depth):
+        node = particle.archive
+        for _ in range(depth):
+            node = node[2]
+        return node
+
+    # the last line holds each particle's nodes since its ancestor at the
+    # previous save; particles with one ancestor share what lies below them,
+    # saved and loaded alike
+    last = lines[-1]["particles"]
+    regrown = 0
+    for i, a in enumerate(last):
+        for k, b in enumerate(last[:i]):
+            if a["from"] == b["from"]:
+                da, db = len(a["archive"]), len(b["archive"])
+                for side in (system, loaded):
+                    assert tail(side.particles[i], da) is tail(side.particles[k], db)
+                regrown += tail(loaded.particles[i], da) is not None
+    assert regrown > 0
 
 
 class TornFile:
@@ -739,17 +787,19 @@ def test_checkpoint_line_holds_only_what_changed(tmp_path):
     header, *saves = read_lines(path)
     assert header["version"] == smc.CHECKPOINT_VERSION
     assert len(saves) == 3
-    rows_before = 0
+    retired = 0
     for n_prev, line in zip((0, 100, 200), saves):
         # exactly the posts stepped since the previous save
         assert [p[0] for p in line["posts"]] == [p.t for p in posts[n_prev:n_prev + 100]]
         assert all(len(p["labels"]) == 100 for p in line["particles"])
         assert all((p["from"] is None) == (n_prev == 0) for p in line["particles"])
-        # its new archive nodes refer to exactly the rows it writes, none earlier
-        refs = {row for p in line["particles"] for _, row in p["archive"]}
-        assert refs == set(range(rows_before, rows_before + len(line["summaries"])))
-        rows_before += len(line["summaries"])
-    assert rows_before > 0
+        # its archive nodes are the patterns retired in its steps, none
+        # earlier: each at the time of the post before the one it stepped
+        t_first = posts[n_prev - 1].t if n_prev else 0.0
+        times = [t for p in line["particles"] for _, t in p["archive"]]
+        assert all(t_first <= t <= posts[n_prev + 98].t for t in times)
+        retired += len(times)
+    assert retired > 0
     assert_same_system(system, ParticleSystem.load_checkpoint(path))
 
 
@@ -782,7 +832,8 @@ def test_two_saves_at_the_same_n_load_the_same_state(tmp_path):
     once = ParticleSystem.load_checkpoint(path)
     system.save_checkpoint(path)
     last = read_lines(path)[-1]
-    assert len(read_lines(path)) == 3 and last["posts"] == [] and last["summaries"] == []
+    assert len(read_lines(path)) == 3 and last["posts"] == []
+    assert all(p["labels"] == [] and p["archive"] == [] for p in last["particles"])
     twice = ParticleSystem.load_checkpoint(path)
     assert_same_system(once, twice)
     assert_same_system(system, twice)
@@ -828,8 +879,9 @@ def test_checkpoint_version_guard(tmp_path):
     # 2 is the layout before the decay sum was stored once, 3 the one that
     # wrote each particle's own copy of a shared pattern, 4 the one that
     # wrote pattern statistics, 5 the one that rewrote the whole state as
-    # one JSON object on every save
-    for version in (2, 3, 4, 5, 999):
+    # one JSON object on every save, 6 the one that wrote each retired
+    # pattern's summary
+    for version in (2, 3, 4, 5, 6, 999):
         lines[0]["version"] = version
         write_lines(path, lines)
         with pytest.raises(ValueError, match=f"version {version};"):
@@ -841,6 +893,11 @@ def _set(payload, keys, value):
     for key in path:
         payload = payload[key]
     payload[last] = value
+
+
+def _swap_times(payload, i, j):
+    posts = payload[1]["posts"]
+    posts[i][0], posts[j][0] = posts[j][0], posts[i][0]
 
 
 def corrupted(tmp_path, corrupt, n_saves):
@@ -866,19 +923,29 @@ def corrupted(tmp_path, corrupt, n_saves):
     (lambda text, p: "[1, 2]", "not a JSON object"),
     (lambda text, p: text[:text.index("\n") // 2], "Expecting|Unterminated"),
     (lambda text, p: p[1].pop("rngs"), "missing field 'rngs'"),
-    (lambda text, p: _set(p, [1, "particles", 0, "archive", 0, 1], 10**6),
-     "particle 0: summary row 1000000 out of range"),
+    (lambda text, p: _set(p, [1, "particles", 0, "archive", 0, 1], "soon"),
+     "particle 0: retirement time 'soon' is not a finite number"),
+    (lambda text, p: _set(p, [1, "particles", 0, "archive", 0, 1], 10**400),
+     "line 2: int too large to convert to float"),
     (lambda text, p: _set(p, [1, "particles", 1, "labels", 5], 99),
      "particle 1: label 99 out of range"),
     (lambda text, p: _set(p, [1, "particles", 0, "archive", 0, 0], 10**6),
      "particle 0: archived label out of range"),
+    (lambda text, p: _swap_times(p, 7, 8), r"post 8: t=\S+ precedes the previous post's"),
+    (lambda text, p: _set(p, [1, "posts", -1, 0], 0),
+     "post 299: t=0 precedes the previous post's"),
+    (lambda text, p: _set(p, [1, "log_weights", 0], math.nan), "non-finite weights"),
+    (lambda text, p: _set(p, [1, "log_weights"], [800, 799, 798, 797]),
+     "non-finite weights"),
     (lambda text, p: p[1]["particles"][2]["labels"].pop(),
      "particle 2: 299 assignments for 300 posts"),
     (lambda text, p: p[1]["posts"].pop(), "assignments for 299 posts"),
     (lambda text, p: _set(p, [1, "posts", 7, 1], [0, 30]),
      "post 7: post field words holds id 30"),
     (lambda text, p: p[1]["particles"].pop(), "must each number n_particles = 4"),
-], ids=["list", "truncated", "no-rngs", "row", "label", "archived-label",
+], ids=["list", "truncated", "no-rngs", "retirement-time", "huge-retirement-time", "label",
+        "archived-label",
+        "post-order", "last-post-at-zero", "nan-weight", "overflowing-weights",
         "assignment-count", "post-count", "invalid-post", "particle-count"])
 def test_malformed_checkpoint_is_named(tmp_path, corrupt, problem):
     path = corrupted(tmp_path, corrupt, n_saves=1)
@@ -900,7 +967,10 @@ def test_malformed_checkpoint_is_named(tmp_path, corrupt, problem):
     (lambda text, p: p[2]["particles"][1]["labels"].pop(),
      "line 3: particle 1: 149 assignments for 150 posts"),
     (lambda text, p: text[:text.index("\n") + 1], "no complete save line"),
-], ids=["middle-line", "from", "from-null", "from-on-first-line", "label-count", "header-only"])
+    (lambda text, p: _set(p, [2, "posts", 0, 0], 0),
+     "line 3: post 150: t=0 precedes the previous post's"),
+], ids=["middle-line", "from", "from-null", "from-on-first-line", "label-count", "header-only",
+        "post-order-across-lines"])
 def test_malformed_checkpoint_line_is_named(tmp_path, corrupt, problem):
     path = corrupted(tmp_path, corrupt, n_saves=2)
     with pytest.raises(ValueError, match=problem) as caught:
