@@ -14,6 +14,10 @@ many resampled particles hold it, and tabulates the terms that depend on a
 single count (the content normaliser, each word's factor, the spatial lead
 and log xi), so most ``lgamma`` and ``log`` calls become dict reads; the
 floats are exactly those of scoring every (particle, pattern) pair alone.
+In exact runs it also passes over *quiet* patterns, which for the post at
+hand cannot change a bit of lambda(t) or Lambda, nor the proposal by 2^-64
+of "new"'s weight: they stay live but are not refit, scored or made
+candidates (the rule and its bound are in ``score_candidates``).
 
 Particles use copy-on-write state: pattern statistics are shared between
 resampled offspring until one of them mutates, assignment histories are
@@ -38,7 +42,7 @@ from math import exp, lgamma, log, log1p
 
 import numpy as np
 
-from .hawkes import fit_kernel
+from .hawkes import ALPHA_FLOOR, fit_kernel
 from .types import (
     ClusteringResult,
     GeoPost,
@@ -79,7 +83,9 @@ class EngineConfig:
     baseline). fixed_kernel pins every pattern's (alpha, tau) and disables
     refitting. prune_threshold > 0 retires patterns whose maximal intensity
     contribution falls below prune_threshold * lambda0 (an approximation;
-    leave at 0 for exact runs). refit_all=False refits only the pattern that
+    leave at 0 for exact runs, which keep every pattern and pass over, post
+    by post, only those whose terms are below 2^-64 of the rest; see
+    ``score_candidates``). refit_all=False refits only the pattern that
     received the post, leaving other kernels at their last attach-time fit.
     """
 
@@ -562,13 +568,53 @@ def score_candidates(particles: list[Particle], post: GeoPost, hyper: Hyperparam
     alpha * n * exp(-(t - t_ref)/tau) falls below ``prune_abs`` is not
     scored and adds nothing to lambda(t) or Lambda.
 
+    In exact runs (``prune_abs`` and ``config.prune_threshold`` both 0) a
+    pattern is *quiet* for this post when, before any refit, its bound on
+    the intensity any kernel the refit can pick gives at t_prev,
+
+        reach = alpha_max * n * exp(-(t_prev - t_ref) / tau_max),
+
+    is below lambda0 * 2^-60 and reach * peak is below 2^-64 of "new"'s
+    term exp(new score). When the kernel is refit (n >= 2), alpha_max =
+    (n - 2 + alpha_time) / beta_time (ALPHA_FLOOR if that is not positive)
+    and tau_max = psi_tau[-1]; otherwise they are the stored alpha and tau.
+    peak = max(1, ns^2 / (2 pi (1 + ns) xi)) bounds the spatial factor when
+    it is on and the pattern has ns > 0 located posts, and is 1 otherwise;
+    the content factor needs no bound, as it is at most 1. A quiet pattern
+    is not refit or scored, is no candidate (it is left out of ``labels``
+    and ``scores``) and adds nothing to lambda(t) or Lambda; it stays live.
+    Why that is safe:
+
+    - lambda(t) and Lambda are unchanged to the last bit. lambda(t) starts
+      at lambda0 and Lambda at lambda0 * dt, and every term is
+      non-negative, so neither running sum falls below its start. A
+      pattern's intensity term alpha * s_prev * exp(-dt/tau) is at most
+      reach: each of the n terms of its decay sum is at most 1, the refit's
+      alpha is at most alpha_max, and the decay is slowest at tau_max. Its
+      compensator term alpha * tau * s_prev * (1 - exp(-dt/tau)) is at most
+      alpha * s_prev * dt, and rounding of 1 - exp(-dt/tau) at most doubles
+      it. So the two terms are below lambda0 * 2^-60 and lambda0 * dt *
+      2^-59, while half an ulp of a running sum x is at least x * 2^-54:
+      adding either rounds back to the sum, and leaving it out changes no
+      bit.
+    - The proposal changes by less than 2^-64 of "new"'s weight per dropped
+      candidate, as its score log lambda_k + content + spatial is at most
+      log(reach * peak). Such a change is almost always below the
+      resolution of the sums it enters, but not provably so; the tests
+      check each dropped candidate's score against independent oracles.
+    - Pruned runs keep their own test in the same place. At any
+      prune_threshold of 2^-60 or more it drops every quiet pattern, since
+      its value never exceeds reach, so the rule is off in a pruned
+      system, its predictive reads included.
+
     Returns, for each particle, (labels, scores, lam_t, big_lambda, prune):
     the scored labels, their log scores with "new" last, lambda(t), the
     compensator of lambda over [t_prev, t], and the labels of the patterns
     to prune.
 
-    A pattern's refit, prune test, lambda_k(t), compensator increment and
-    score read only its statistics, the post and the clock, so each distinct
+    A pattern's quiet test, refit, prune test, lambda_k(t), compensator
+    increment and score read only its statistics, the post and the clock, so
+    each distinct
     ``PatternStats`` object (resampled particles share them) is scored once
     per call and "new" once in all; each particle then sums lambda(t) and
     Lambda in its own label order. Terms that depend on one count only (the
@@ -633,10 +679,20 @@ def score_candidates(particles: list[Particle], post: GeoPost, hyper: Hyperparam
     # "new" adds its prior after its factors; another order rounds the score
     # differently and can change the sampled assignments
     new_score = add_factors(0.0, _EMPTY) + log(lam0)
-    # PatternStats -> (lam_k, compensator increment, score), or None if pruned
+    pruning = prune_abs > 0.0
+    # the quiet rule is for exact runs only (see the docstring)
+    exact = not (pruning or config.prune_threshold > 0.0)
+    quiet_lam = lam0 * 2.0 ** -60
+    quiet_new = exp(new_score) * 2.0 ** -64
+    tau_max = hyper.psi_tau[-1]
+    # the tau of the quiet test's decayed = exp(-(t_prev - t_ref)/tau), and
+    # of e_dt = exp(-dt/tau), which most patterns share; 0 is no tau
+    decayed_tau = 0.0
+    e_dt_tau = 0.0
+    # PatternStats -> (lam_k, compensator increment, score), or None if
+    # pruned or quiet
     memo: dict[PatternStats, tuple | None] = {}
     memo_get = memo.get
-    e_dt_tau = None  # the tau of e_dt = exp(-dt/tau), shared by most patterns
     out = []
     for particle in particles:
         labels = []
@@ -647,17 +703,37 @@ def score_candidates(particles: list[Particle], post: GeoPost, hyper: Hyperparam
         for label, stats in particle.patterns.items():
             entry = memo_get(stats, _UNSCORED)
             if entry is _UNSCORED:
+                if exact:
+                    n = stats.n_posts
+                    if refit and n >= 2:
+                        numer = n - 2.0 + hyper.alpha_time
+                        alpha_max = numer / hyper.beta_time if numer > 0.0 else ALPHA_FLOOR
+                        decayed_tau = tau_max
+                    else:
+                        alpha_max = stats.alpha
+                        decayed_tau = stats.tau
+                    decayed = exp(-(t_prev - stats.t_ref) / decayed_tau)
+                    reach = alpha_max * n * decayed
+                    if reach < quiet_lam:
+                        ns = stats.n_spatial
+                        if spatial and ns > 0:
+                            peak = ns * ns / (two_pi * (1.0 + ns) * (beta + 0.5 * stats.m2))
+                            if peak > 1.0:
+                                reach *= peak
+                        if reach < quiet_new:
+                            memo[stats] = None
+                            continue
                 if refit and stats.n_posts >= 2:
                     alpha, tau, tau_idx = fit_kernel(stats, t_prev, hyper)
                 else:
                     alpha = stats.alpha
                     tau = stats.tau
                     tau_idx = stats.tau_idx
-                if (prune_abs > 0.0
-                        and alpha * stats.n_posts * exp(-(t - stats.t_ref) / tau) < prune_abs):
+                if pruning and alpha * stats.n_posts * exp(-(t - stats.t_ref) / tau) < prune_abs:
                     entry = None
                 else:
-                    s_prev = stats.decay[tau_idx] * exp(-(t_prev - stats.t_ref) / tau)
+                    s_prev = stats.decay[tau_idx] * (
+                        decayed if tau == decayed_tau else exp(-(t_prev - stats.t_ref) / tau))
                     if tau != e_dt_tau:
                         e_dt_tau = tau
                         e_dt = exp(-dt / tau)
@@ -666,7 +742,8 @@ def score_candidates(particles: list[Particle], post: GeoPost, hyper: Hyperparam
                              -math.inf if lam_k <= 0.0 else add_factors(log(lam_k), stats))
                 memo[stats] = entry
             if entry is None:
-                prune.append(label)
+                if pruning:
+                    prune.append(label)
                 continue
             lam_k, comp_k, ls = entry
             lam_t += lam_k

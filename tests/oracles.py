@@ -58,6 +58,22 @@ def assignment_prior(particle, hyper, t) -> tuple[list[int], list[float]]:
     return labels, [lam / total for lam in lams] + [hyper.lambda0 / total]
 
 
+def rates_over_every_pattern(kernels, lambda0, t_prev, t) -> tuple[float, float]:
+    """lambda(t) and its compensator over [t_prev, t], summed in the given
+    order over every (stats, alpha, tau, tau_idx) in ``kernels``, however
+    small its terms, by the engine's per-pattern formulas: the sums that
+    skipping negligible patterns must leave unchanged to the last bit."""
+    dt = t - t_prev
+    lam_t = lambda0
+    big_lambda = lambda0 * dt
+    for stats, alpha, tau, tau_idx in kernels:
+        s_prev = stats.decay[tau_idx] * exp(-(t_prev - stats.t_ref) / tau)
+        e_dt = exp(-dt / tau)
+        lam_t += alpha * s_prev * e_dt
+        big_lambda += alpha * tau * s_prev * (1.0 - e_dt)
+    return lam_t, big_lambda
+
+
 def compensator_quadrature(times, t0, t1, alpha, tau) -> float:
     """Integrate the pattern intensity numerically over [t0, t1]."""
     val, _err = quad(lambda u: intensity_direct(times, u, alpha, tau), t0, t1,
@@ -205,6 +221,24 @@ def spatial_predictive_quadrature(points, beta_space, query,
     return log_m - log_z
 
 
+def spatial_predictive_closed_form(points, beta_space, query) -> float:
+    """Predictive density of ``query`` given ``points`` (1 for none), in
+    closed form from raw coordinate sums: the Student-t that the quadrature
+    above integrates to."""
+    m = len(points)
+    if m == 0:
+        return 1.0
+    sx = sum(p[0] for p in points)
+    sy = sum(p[1] for p in points)
+    sq = sum(p[0] ** 2 + p[1] ** 2 for p in points)
+    xi = beta_space + 0.5 * sq - (sx * sx + sy * sy) / (2.0 * m)
+    dx = query[0] - sx / m
+    dy = query[1] - sy / m
+    delta = m / (2.0 * (m + 1.0)) * (dx * dx + dy * dy)
+    return (m * m / (2.0 * math.pi * (1.0 + m))
+            * (1.0 / xi) * (1.0 + delta / xi) ** (-(1.0 + m)))
+
+
 def enumerate_posterior(posts, hyper, alpha, tau, spatial=True):
     """Exact assignment posterior for a short stream under shared fixed kernels.
 
@@ -234,20 +268,6 @@ def enumerate_posterior(posts, hyper, alpha, tau, spatial=True):
             total += 1
         return out
 
-    def spatial_factor(cluster_locs, xy):
-        m = len(cluster_locs)
-        if m == 0:
-            return 1.0
-        sx = sum(p[0] for p in cluster_locs)
-        sy = sum(p[1] for p in cluster_locs)
-        sq = sum(p[0] ** 2 + p[1] ** 2 for p in cluster_locs)
-        xi = beta + 0.5 * sq - (sx * sx + sy * sy) / (2.0 * m)
-        dx = xy[0] - sx / m
-        dy = xy[1] - sy / m
-        delta = m / (2.0 * (m + 1.0)) * (dx * dx + dy * dy)
-        return (m * m / (2.0 * math.pi * (1.0 + m))
-                * (1.0 / xi) * (1.0 + delta / xi) ** (-(1.0 + m)))
-
     results = {}
 
     def recurse(i, seq, log_score):
@@ -275,8 +295,9 @@ def enumerate_posterior(posts, hyper, alpha, tau, spatial=True):
                 continue
             cw = [w for j in members for w in posts[j].words]
             cf = content_factor(cw, post.words)
-            sf = (spatial_factor([(posts[j].x, posts[j].y) for j in members],
-                                 (post.x, post.y)) if spatial else 1.0)
+            sf = (spatial_predictive_closed_form(
+                [(posts[j].x, posts[j].y) for j in members], beta, (post.x, post.y))
+                if spatial else 1.0)
             recurse(i + 1, seq + [k], log_score + math.log(prior * cf * sf))
 
     recurse(0, [], 0.0)

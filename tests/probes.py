@@ -6,6 +6,13 @@ is the candidate's score with that factor switched on minus its score with
 every factor off; the intensity and compensator are the function's own
 lambda(t) and Lambda.
 The oracle tests compare these against the references in ``oracles``.
+
+The engine passes over patterns that cannot change a double (the quiet rule
+of ``score_candidates``), so ``pattern_rates``, whose only other candidate
+is "new" at PROBE_LAMBDA0, reads as 0 a pattern whose intensity bound at
+``t_prev`` is below PROBE_LAMBDA0 * 2^-64: that bound is below the
+rule's PROBE_LAMBDA0 * 2^-60 and, with every factor off, below 2^-64 of
+"new"'s term.
 """
 
 from __future__ import annotations

@@ -24,7 +24,9 @@ from oracles import (
     assignment_prior,
     enumerate_posterior,
     intensity_direct,
+    rates_over_every_pattern,
     sequential_predictive_oracle,
+    spatial_predictive_closed_form,
     spatial_predictive_quadrature,
 )
 
@@ -36,10 +38,22 @@ def base_hyper(**kw):
     return Hyperparams(**defaults)
 
 
-def make_stream(n_posts, seed=0, hyper=None, **cfg_kw):
+def make_stream(n_posts, seed=0, hyper=None, gaps=(), **cfg_kw):
+    """A synthetic stream; with ``gaps``, every 25th post and those after it
+    move later by the next gap in turn (days), so that old patterns fall
+    quiet to every float of the next post."""
     hyper = hyper or base_hyper()
     cfg = SynthConfig(hyper=hyper, n_posts=n_posts, seed=seed, **cfg_kw)
-    return generate(cfg).posts
+    posts = generate(cfg).posts
+    if not gaps:
+        return posts
+    shift = 0.0
+    out = []
+    for i, post in enumerate(posts):
+        if i and i % 25 == 0:
+            shift += gaps[(i // 25 - 1) % len(gaps)]
+        out.append(GeoPost(t=post.t + shift, words=post.words, x=post.x, y=post.y))
+    return out
 
 
 def archived(particle):
@@ -535,6 +549,8 @@ def archived_labels(particle):
 FIVE_TAUS = (1 / 24, 1 / 4, 1.0, 7.0, 30.0)
 FIVE_TAU_HYPER = dict(lambda0=5.0, psi_tau=FIVE_TAUS, vocab_size=30)
 FIVE_TAU_STREAM = dict(n_words=3, sigma0=0.05, alpha0=0.8)
+# gaps that outlast every kernel on the grid, from the shortest to the longest
+GAPPED_STREAM = dict(FIVE_TAU_STREAM, gaps=(5.0, 50.0, 500.0, 5000.0))
 
 
 def pruned_five_tau(n_posts):
@@ -562,8 +578,9 @@ def pruned_short_tau(n_posts):
      dict(prune_threshold=1e-12, fixed_kernel=(0.8, FIVE_TAUS[0])), set()),
     (400, 200, FIVE_TAU_HYPER, FIVE_TAU_STREAM, dict(prune_threshold=1e-12),
      set(range(3, 400, 7))),
+    (400, 200, FIVE_TAU_HYPER, GAPPED_STREAM, {}, set()),
 ], ids=["exact", "pruned-five-tau", "pruned-no-refit", "pruned-fixed-kernel",
-        "pruned-hidden"])
+        "pruned-hidden", "exact-gapped"])
 def test_checkpoint_resume_bit_for_bit(tmp_path, n_posts, split, hyper_kw, stream_kw,
                                        config_kw, hidden):
     hyper = base_hyper(n_particles=4, **hyper_kw)
@@ -575,6 +592,11 @@ def test_checkpoint_resume_bit_for_bit(tmp_path, n_posts, split, hyper_kw, strea
     resumed = ParticleSystem(hyper, config).run(posts[:split], hidden)
     if prune:
         assert all(archived_labels(p) for p in resumed.particles)
+    if "gaps" in stream_kw:
+        # live patterns over a hundred of the longest time constants old are
+        # quiet for the next post
+        assert any(posts[split].t - stats.t_ref > 100 * FIVE_TAUS[-1]
+                   for p in resumed.particles for stats in p.patterns.values())
     path = tmp_path / "ckpt.json"
     resumed.save_checkpoint(path)
     resumed = ParticleSystem.load_checkpoint(path)
@@ -1076,6 +1098,89 @@ def test_patterns_sharing_table_keys_score_as_if_alone():
         [(_, alone_scores, _, _, _)] = smc.score_candidates([alone], post, hyper, config, 0.3)
         assert repr(alone_scores) == repr([scores[label], scores[-1]])
     assert len(set(scores)) == len(scores)
+
+
+# ----------------------------------------------------------------------
+# quiet patterns
+
+
+def member_posts(system, particle):
+    """Each live pattern's posts, by label, from the stepped posts."""
+    members = {}
+    for (post, _), label in zip(system.posts(), particle.assignments()):
+        if label in particle.patterns:
+            members.setdefault(label, []).append(post)
+    return members
+
+
+@pytest.mark.parametrize("psi_tau, config_kw", [
+    ((0.25,), {}),
+    (FIVE_TAUS, {}),
+    (FIVE_TAUS, dict(fixed_kernel=(0.8, 0.25))),
+    (FIVE_TAUS, dict(refit_all=False)),
+    (FIVE_TAUS, dict(spatial=False)),
+], ids=["one-tau", "five-tau", "fixed-kernel", "no-refit", "spatial-off"])
+def test_quiet_patterns_change_no_float(psi_tau, config_kw):
+    # an exact run leaves out patterns that cannot change a double: lambda(t)
+    # and Lambda equal the sums over every live pattern to the last bit, and
+    # each left-out pattern's score is below 2^-64 of "new"'s
+    hyper = base_hyper(n_particles=2, **{**FIVE_TAU_HYPER, "psi_tau": psi_tau})
+    posts = make_stream(300, seed=13, hyper=base_hyper(**FIVE_TAU_HYPER), **GAPPED_STREAM)
+    config = EngineConfig(seed=13, **config_kw)
+    refit = config.fixed_kernel is None and config.refit_all
+    system = ParticleSystem(hyper, config)
+    quiet = 0
+    for post in posts:
+        t_prev = system.t_last
+        scored = smc.score_candidates(system.particles, post, hyper, config, t_prev,
+                                      spatial=config.spatial)
+        for particle, (labels, scores, lam_t, big_lambda, _) in zip(system.particles, scored):
+            kernels = {label: (stats, *(fit_kernel(stats, t_prev, hyper)
+                                        if refit and stats.n_posts >= 2
+                                        else (stats.alpha, stats.tau, stats.tau_idx)))
+                       for label, stats in particle.patterns.items()}
+            assert (lam_t, big_lambda) == rates_over_every_pattern(
+                kernels.values(), hyper.lambda0, t_prev, post.t)
+            members = member_posts(system, particle)
+            for label in set(particle.patterns) - set(labels):
+                stats, alpha, tau, _ = kernels[label]
+                lam_k = intensity_direct([p.t for p in members[label]], post.t, alpha, tau)
+                score = (math.log(lam_k) if lam_k > 0.0 else -math.inf) \
+                    + sequential_predictive_oracle(stats, post.words, hyper)
+                if config.spatial:
+                    score += math.log(spatial_predictive_closed_form(
+                        [(p.x, p.y) for p in members[label]], hyper.beta_space,
+                        (post.x, post.y)))
+                assert score < scores[-1] - 64 * math.log(2.0)
+                quiet += 1
+        system.step(post)
+    assert quiet > 1000
+
+
+def test_quiet_rule_keeps_a_matching_old_pattern():
+    # long posts from a large vocabulary make "new"'s content prior tiny, so
+    # an old pattern whose words match the post still outscores 2^-64 of
+    # "new" although its intensity is below lambda0 * 2^-60
+    hyper = base_hyper(lambda0=1.0, theta0=0.01, vocab_size=1000, psi_tau=(0.25,),
+                       n_particles=1)
+    words = list(range(12))
+    stats = PatternStats(1, 0.5, 0.25, 0)
+    stats.attach(0.0, words, 0.0, 0.0, hyper.psi_tau)
+    particle = Particle()
+    particle.patterns[0] = stats
+    t = 0.25 * 64 * math.log(2.0)
+    assert 0.5 * math.exp(-t / 0.25) < hyper.lambda0 * 2.0 ** -60
+    config = EngineConfig()
+    matching = GeoPost(t=t, words=words, x=0.0, y=0.0)
+    [(labels, scores, *_)] = smc.score_candidates([particle], matching, hyper, config, t)
+    assert labels == [0] and math.isfinite(scores[0])
+    assert scores[0] > scores[-1]
+    # the bound takes the content factor as 1, so only far later is the
+    # pattern quiet for this post
+    later = 0.25 * 200 * math.log(2.0)
+    matching.t = later
+    [(labels, *_)] = smc.score_candidates([particle], matching, hyper, config, later)
+    assert labels == []
 
 
 # ----------------------------------------------------------------------
